@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end: parsing, exit codes,
 output formats, determinism, and the monotonicity certificate."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -310,3 +311,77 @@ class TestRunConfig:
             output_path=None,
         )
         assert cfg.ctx.bits == 192
+
+
+# SHA-256 of the output bytes, recorded before the row builders were
+# merged into one table; y = 1.00123 keeps y off the dyadic grid, so a
+# change of rounding in the y cell would show.
+GOLDEN_CASES = [
+    ("eval", "3/2", "10,1000,1000000000000000"),
+    ("eval", "1.00123", "10,1000,100000"),
+    ("solve", "3/2", "1,10,100000,1000000000000000"),
+    ("solve", "1.00123", "1,10,100000,1000000000000000"),
+    ("approx", "3/2", "1,10,100000,1000000000000000"),
+    ("approx", "1.00123", "1,10,100000,1000000000000000"),
+    ("compare", "3/2", "10,1000,1000000000000000"),
+    ("compare", "1.00123", "10,1000,100000"),
+    ("quadcheck", "3/2", "0,1,5,20,40"),
+    ("quadcheck", "1.00123", "0,5,20"),
+]
+
+GOLDEN_DIGESTS = {
+    "eval-3/2-table": "b0380e9f6b1b4850a6261b9f27f73d7a8349f68b5e9deaa3cbd96137a3eceb8f",
+    "eval-3/2-csv": "a823d8def878e9c0c5df63c4257512bffb3707cd47991c63a2ac982add25b11a",
+    "eval-3/2-json": "f4928f0957a5d7dfd1a9a4607abcf031ce0165e86ce2848574628e5d3909edec",
+    "eval-1.00123-table": "012f9ba33db3c55bdb657bb3b331e9211a5f7d03d7b0c66251442a0b48842051",
+    "eval-1.00123-csv": "30179d388246b2906dabdb57ca913133aa1743d6413589c801df4d2d371882d6",
+    "eval-1.00123-json": "dd561b1582f7bcbb5f55811711afcc62f2dc433d1cd1728bc84ca5151b3417e0",
+    "solve-3/2-table": "253e60e089be8e828cdc54ead2cd0af2617702f16970a98ea35c3e9a5cfcbfa5",
+    "solve-3/2-csv": "3c393e317d0896713a8cf99fa23735bfc02e14a54864db11df725e2474bfb48a",
+    "solve-3/2-json": "cf5a144ebe12ea47f7f763585e0f84a7598a1fb46c0c3fea9c1c68372d4bd38e",
+    "solve-1.00123-table": "d41fed4cf2840c719873d25f6f7d2583ec9342571efafb4daf5a8076c424c549",
+    "solve-1.00123-csv": "2aa1303fe5da694741a3c5692f0e5005fdac6e4f08465fa04c1f0f91d815d9c3",
+    "solve-1.00123-json": "6246610babb6de3c7d5ca8cfa5b85c931ae6c4492fc3fd3850ab6aa4ca291d27",
+    "approx-3/2-table": "5d30c8843fdaffafcc663f89dc91e14fa25e0a2f359eecaf13f5224347e74ff0",
+    "approx-3/2-csv": "723690fe334ac60c351f82d318cc76ca3219966cc63d49a3ef3bdb19eea29246",
+    "approx-3/2-json": "d09524528a681267f334e3abe5b376813a6283cbd373a71f444ca3b219a2f3b6",
+    "approx-1.00123-table": "8f1c72ffa789def4fb6ba6750d5fd72e9dd8c15dab984ad9833f1be0410feab5",
+    "approx-1.00123-csv": "420575af68459f77ca774b275055566908142bbce08b0378d97ef9b91eb45efc",
+    "approx-1.00123-json": "c9ff8d27d343057f3bfe9a1994ac85ab05c37e2e665488c8bfddd8e2ee3d9373",
+    "compare-3/2-table": "934a5fbf39b845ff263b9739f95bb4687bd2545e3f30f4c5f999ab7a3bf43cb0",
+    "compare-3/2-csv": "750cd3a8110d35ee577c80724c3dc31ed88aaa2968cee0a4b025fb48fe41709d",
+    "compare-3/2-json": "d89e0e1c4d61ce836515ef3c9cdd784ca33ae2b324061009a32b6119a66c6208",
+    "compare-1.00123-table": "949532d1493087fa42e18d48f623f797c5a550ced42a7504c7d02faeb148069f",
+    "compare-1.00123-csv": "f081287f9558349679e4b4dd8dff22ffacfc4f2e0efa8790fda71f3529cd50ed",
+    "compare-1.00123-json": "5e55ac396c3f5fb61ca6fade4836f978fbc3c64049f00409d1ec146aa00a89cb",
+    "quadcheck-3/2-table": "8216f27b520c77c2d465adc8b060b917f7a7ab4a222cf14d49c2cd885611ca0c",
+    "quadcheck-3/2-csv": "710d8b25e13f15076e312f958cb08bfb82760fa81f42b4a7cfc0dde5fba2a059",
+    "quadcheck-3/2-json": "1dc1633785c44e0b6d72d60b61b3c9a1f0ffd4cd73e065b8e9801ac249c69465",
+    "quadcheck-1.00123-table": "36a1abb61570ce47ad0160e762b9ae931aff648497bbc1166966e2f88c95e5fa",
+    "quadcheck-1.00123-csv": "1fbc6ba42e53382f82a26bb41289e64f2a31a61e9f5abc1bb9b8880974b87703",
+    "quadcheck-1.00123-json": "46c6f33f9798c478308f2af1b942536ea77a4a47e03f2c9ccbde02cff4dce478",
+    "monotone-3/2-json": "3fb68a25e6e267bf5c3cb5255b544edc91d4c6dfacfdc818ddc3c1722e666e0d",
+    "monotone-1.00123-json": "3f47c55c712f32b1b3fd26fc5a899bb5b51cbc0401b509c56fdedafaee98c9bd",
+}
+
+
+def _golden_params():
+    for command, y, n in GOLDEN_CASES:
+        for fmt in ("table", "csv", "json"):
+            yield pytest.param(
+                [command, "--y", y, "--n", n, "--format", fmt],
+                id=f"{command}-{y}-{fmt}",
+            )
+    for y, N, R in (("3/2", "6", "4"), ("1.00123", "3", "2")):
+        yield pytest.param(
+            ["monotone", "--y", y, "--N", N, "--R", R], id=f"monotone-{y}-json"
+        )
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv", _golden_params())
+    def test_output_digest(self, argv, request):
+        status, out = render(argv)
+        assert status == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[request.node.callspec.id]
