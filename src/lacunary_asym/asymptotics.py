@@ -36,7 +36,7 @@ from .numerics import (
     as_real,
 )
 from .polyeval import eval_log
-from .solvers import solve_r, solve_w
+from .solvers import _saddle_roots, solve_r, solve_w
 
 _GUARD = 32
 
@@ -76,14 +76,10 @@ class ApproxSummary:
 
 
 @dataclass(frozen=True)
-class ApproxRecord:
-    n: int
-    y: mpf
+class ApproxRecord(ApproxSummary):
+    """The summary plus the evaluated log f_n and both ratios."""
+
     log_exact: LogValue
-    log_bdm: mpf
-    log_thm_prefactor: mpf
-    theta_factor: mpf
-    rho: mpf
     ratio_bdm: mpf
     ratio_thm: mpf
 
@@ -209,8 +205,15 @@ def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
         return Theta3Result(+(1 + osc), K)
 
 
-def _nome_and_arg(r: mpf, L: mpf) -> Tuple[mpf, mpf]:
-    return mp.exp(-2 * mp.pi**2 / L), mp.pi * r / L
+def _rho_at(r: mpf, L: mpf, eps: mpf) -> mpf:
+    """theta_3(pi r/L, e^{-2 pi^2/L}) - 1, summed without the leading 1."""
+    osc, _ = _theta_oscillation(mp.pi * r / L, mp.exp(-2 * mp.pi**2 / L), eps)
+    return osc
+
+
+def _lambert_form(t: mpf, L: mpf) -> mpf:
+    """-log(t)/2 + (t^2+2t)/(2L): the log approximation at root t."""
+    return -mp.log(t) / 2 + (t * t + 2 * t) / (2 * L)
 
 
 def rho(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
@@ -221,9 +224,7 @@ def rho(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """
     root = solve_r(n, y, ctx)
     with ctx.prec(_GUARD):
-        L = mp.log(as_real(y))
-        q, z = _nome_and_arg(root.t, L)
-        osc, _ = _theta_oscillation(z, q, ctx.eps)
+        osc = _rho_at(root.t, mp.log(as_real(y)), ctx.eps)
     with ctx.prec():
         return +osc
 
@@ -234,9 +235,7 @@ def approx_bdm(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         raise DomainError("n-out-of-domain", "need n >= 1")
     root = solve_w(n, y, ctx)
     with ctx.prec(_GUARD):
-        w = root.t
-        L = mp.log(as_real(y))
-        val = -mp.log(w) / 2 + (w * w + 2 * w) / (2 * L)
+        val = _lambert_form(root.t, mp.log(as_real(y)))
     with ctx.prec():
         return +val
 
@@ -251,16 +250,14 @@ def approximation_summary(
     """
     if n < 1:
         raise DomainError("n-out-of-domain", "need n >= 1")
-    w_root = solve_w(n, y, ctx)
-    r_root = solve_r(n, y, ctx)
+    w_root, r_root = _saddle_roots(n, y, ctx)
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
         w, r = w_root.t, r_root.t
-        log_bdm = -mp.log(w) / 2 + (w * w + 2 * w) / (2 * L)
-        log_pref = -mp.log(r) / 2 + (r * r + 2 * r) / (2 * L)
-        q, z = _nome_and_arg(r, L)
-        osc, _ = _theta_oscillation(z, q, ctx.eps)
+        log_bdm = _lambert_form(w, L)
+        log_pref = _lambert_form(r, L)
+        osc = _rho_at(r, L, ctx.eps)
     with ctx.prec():
         return ApproxSummary(
             n=n,
@@ -294,15 +291,7 @@ def approx_theorem(
         ratio_thm = mp.exp(lf - s.log_thm_prefactor - mp.log(s.theta_factor))
     with ctx.prec():
         return ApproxRecord(
-            n=n,
-            y=s.y,
-            log_exact=log_exact,
-            log_bdm=s.log_bdm,
-            log_thm_prefactor=s.log_thm_prefactor,
-            theta_factor=s.theta_factor,
-            rho=s.rho,
-            ratio_bdm=+ratio_bdm,
-            ratio_thm=+ratio_thm,
+            **vars(s), log_exact=log_exact, ratio_bdm=+ratio_bdm, ratio_thm=+ratio_thm
         )
 
 

@@ -25,8 +25,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from mpmath import mp, mpf
 
@@ -252,151 +253,86 @@ def _y_str(config: RunConfig, sig: int) -> str:
         return _format_real(as_real(config.y), sig)
 
 
-def _rows_eval(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
-    sig = _sig_digits(config.bits)
-    ctx = config.ctx
-    ystr = _y_str(config, sig)
-    fields = ["n", "y", "log_f", "terms_used", "omitted_tail_bound"]
-    rows = []
-    for n in config.n_values:
-        logv, report = eval_log(n, config.y, ctx)
-        rows.append(
-            {
-                "n": str(n),
-                "y": ystr,
-                "log_f": _format_real(logv.log_magnitude, sig),
-                "terms_used": str(report.terms_used),
-                "omitted_tail_bound": _format_real(report.omitted_tail_bound, sig),
-            }
-        )
-    return fields, rows
+def _eval_cells(config: RunConfig, n: int) -> Dict[str, object]:
+    logv, report = eval_log(n, config.y, config.ctx)
+    return {
+        "log_f": logv.log_magnitude,
+        "terms_used": report.terms_used,
+        "omitted_tail_bound": report.omitted_tail_bound,
+    }
 
 
-def _rows_solve(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
-    sig = _sig_digits(config.bits)
-    ctx = config.ctx
-    ystr = _y_str(config, sig)
-    fields = ["n", "y", "w", "r", "w_minus_r", "w2_minus_r2", "w_over_r"]
-    rows = []
-    for n in config.n_values:
-        rel = residual_relations(n, config.y, ctx)
-        rows.append(
-            {
-                "n": str(n),
-                "y": ystr,
-                "w": _format_real(rel.w, sig),
-                "r": _format_real(rel.r, sig),
-                "w_minus_r": _format_real(rel.w_minus_r, sig),
-                "w2_minus_r2": _format_real(rel.w2_minus_r2, sig),
-                "w_over_r": _format_real(rel.w_over_r, sig),
-            }
-        )
-    return fields, rows
+def _solve_cells(config: RunConfig, n: int) -> Dict[str, object]:
+    return vars(residual_relations(n, config.y, config.ctx))
 
 
-def _rows_approx(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
-    sig = _sig_digits(config.bits)
-    ctx = config.ctx
-    fields = [
-        "n",
-        "y",
-        "w",
-        "r",
-        "log_bdm",
-        "log_thm_prefactor",
-        "theta_factor",
-        "rho",
-    ]
-    rows = []
-    for n in config.n_values:
-        s = approximation_summary(n, config.y, ctx)
-        rows.append(
-            {
-                "n": str(n),
-                "y": _format_real(s.y, sig),
-                "w": _format_real(s.w, sig),
-                "r": _format_real(s.r, sig),
-                "log_bdm": _format_real(s.log_bdm, sig),
-                "log_thm_prefactor": _format_real(s.log_thm_prefactor, sig),
-                "theta_factor": _format_real(s.theta_factor, sig),
-                "rho": _format_real(s.rho, sig),
-            }
-        )
-    return fields, rows
+def _approx_cells(config: RunConfig, n: int) -> Dict[str, object]:
+    return vars(approximation_summary(n, config.y, config.ctx))
 
 
-def _rows_compare(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
-    sig = _sig_digits(config.bits)
-    ctx = config.ctx
-    rows = []
-    for n in config.n_values:
-        rec = approx_theorem(n, config.y, ctx)
-        s = approximation_summary(n, config.y, ctx)
-        with ctx.prec():
-            gap = s.w - s.r
-        rows.append(
-            {
-                "n": str(n),
-                "y": _format_real(rec.y, sig),
-                "log_f": _format_real(rec.log_exact.log_magnitude, sig),
-                "w": _format_real(s.w, sig),
-                "r": _format_real(s.r, sig),
-                "w_minus_r": _format_real(gap, sig),
-                "log_bdm": _format_real(rec.log_bdm, sig),
-                "log_thm_prefactor": _format_real(rec.log_thm_prefactor, sig),
-                "theta_factor": _format_real(rec.theta_factor, sig),
-                "rho": _format_real(rec.rho, sig),
-                "ratio_bdm": _format_real(rec.ratio_bdm, sig),
-                "ratio_thm": _format_real(rec.ratio_thm, sig),
-            }
-        )
-    return COMPARE_FIELDS, rows
+def _compare_cells(config: RunConfig, n: int) -> Dict[str, object]:
+    rec = approx_theorem(n, config.y, config.ctx)
+    with config.ctx.prec():
+        gap = rec.w - rec.r
+    return {**vars(rec), "log_f": rec.log_exact.log_magnitude, "w_minus_r": gap}
 
 
-def _rows_quadcheck(
-    config: RunConfig,
-) -> Tuple[List[str], List[Dict[str, str]], bool]:
-    sig = _sig_digits(config.bits)
+def _quadcheck_cells(config: RunConfig, n: int) -> Dict[str, object]:
+    if n > QUADCHECK_N_CAP:
+        raise DomainError("quad-cap", f"n={n} above quadcheck cap {QUADCHECK_N_CAP}")
     ctx = config.ctx
     tol = mpf(QUADCHECK_TOL)
-    fields = [
-        "n",
-        "y",
-        "f_exact",
-        "dev_original",
-        "dev_shifted",
-        "dev_cross",
-        "status",
-    ]
+    exact = eval_exact(n, config.y)
+    orig = integrate_original(n, config.y, ctx, tol)
+    shift = integrate_shifted(n, config.y, ctx, tol)
+    with ctx.prec():
+        f = as_real(exact)
+        dev_o = abs(orig.value - f) / f
+        dev_s = abs(shift.value - f) / f
+        dev_x = abs(orig.value - shift.value) / f
+    return {
+        "f_exact": f,
+        "dev_original": dev_o,
+        "dev_shifted": dev_s,
+        "dev_cross": dev_x,
+        "status": "ok" if dev_o <= tol and dev_s <= tol else "FAIL",
+    }
+
+
+# command -> (output fields, cells of one n).  A row's y cell is the
+# configured y unless the cells carry their own (the rounded y of a record).
+_ROW_COMMANDS: Dict[str, Tuple[List[str], Callable[[RunConfig, int], Dict[str, object]]]] = {
+    "eval": (["n", "y", "log_f", "terms_used", "omitted_tail_bound"], _eval_cells),
+    "solve": (["n", "y", "w", "r", "w_minus_r", "w2_minus_r2", "w_over_r"], _solve_cells),
+    "approx": (
+        ["n", "y", "w", "r", "log_bdm", "log_thm_prefactor", "theta_factor", "rho"],
+        _approx_cells,
+    ),
+    "compare": (COMPARE_FIELDS, _compare_cells),
+    "quadcheck": (
+        ["n", "y", "f_exact", "dev_original", "dev_shifted", "dev_cross", "status"],
+        _quadcheck_cells,
+    ),
+}
+
+
+def _format_cell(value: object, sig: int) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return _format_real(value, sig)
+
+
+def _rows(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
+    fields, cells_of = _ROW_COMMANDS[config.command]
+    sig = _sig_digits(config.bits)
+    ystr = _y_str(config, sig)
     rows = []
-    failed = False
     for n in config.n_values:
-        if n > QUADCHECK_N_CAP:
-            raise DomainError(
-                "quad-cap", f"n={n} above quadcheck cap {QUADCHECK_N_CAP}"
-            )
-        exact = eval_exact(n, config.y)
-        orig = integrate_original(n, config.y, ctx, tol)
-        shift = integrate_shifted(n, config.y, ctx, tol)
-        with ctx.prec():
-            f = as_real(exact)
-            dev_o = abs(orig.value - f) / f
-            dev_s = abs(shift.value - f) / f
-            dev_x = abs(orig.value - shift.value) / f
-        ok = dev_o <= tol and dev_s <= tol
-        failed = failed or not ok
-        rows.append(
-            {
-                "n": str(n),
-                "y": _y_str(config, sig),
-                "f_exact": _format_real(f, sig),
-                "dev_original": _format_real(dev_o, sig),
-                "dev_shifted": _format_real(dev_s, sig),
-                "dev_cross": _format_real(dev_x, sig),
-                "status": "ok" if ok else "FAIL",
-            }
-        )
-    return fields, rows, failed
+        cells = {"n": n, "y": ystr, **cells_of(config, n)}
+        rows.append({f: _format_cell(cells[f], sig) for f in fields})
+    return fields, rows
 
 
 def _emit_csv(fields: List[str], rows: List[Dict[str, str]], stream: TextIO) -> None:
@@ -442,10 +378,16 @@ def _emit_json(
     stream.write("\n")
 
 
+def _digits(value: int) -> str:
+    """Decimal digits of an integer; unlike str(), not capped at
+    sys.get_int_max_str_digits() (4300 by default)."""
+    return str(Decimal(value))
+
+
 def _run_monotone(config: RunConfig, stream: TextIO) -> int:
     cert = certify_absolute_monotonicity(config.N, config.R, config.y)
     rows = [
-        {"n": e.n, "r": e.r, "value": f"{e.value.numerator}/{e.value.denominator}"}
+        {"n": e.n, "r": e.r, "value": f"{_digits(e.value.numerator)}/{_digits(e.value.denominator)}"}
         for e in cert.entries
     ]
     payload = {
@@ -468,28 +410,16 @@ def _run_monotone(config: RunConfig, stream: TextIO) -> int:
 def run(config: RunConfig, stream: TextIO) -> int:
     if config.command == "monotone":
         return _run_monotone(config, stream)
-    status = EXIT_OK
-    if config.command == "eval":
-        fields, rows = _rows_eval(config)
-    elif config.command == "solve":
-        fields, rows = _rows_solve(config)
-    elif config.command == "approx":
-        fields, rows = _rows_approx(config)
-    elif config.command == "compare":
-        fields, rows = _rows_compare(config)
-    elif config.command == "quadcheck":
-        fields, rows, failed = _rows_quadcheck(config)
-        if failed:
-            status = EXIT_TOLERANCE
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown command {config.command!r}")
+    fields, rows = _rows(config)
     if config.output_format == "csv":
         _emit_csv(fields, rows, stream)
     elif config.output_format == "json":
         _emit_json(config, rows, stream)
     else:
         _emit_table(fields, rows, stream)
-    return status
+    if any(row.get("status") == "FAIL" for row in rows):
+        return EXIT_TOLERANCE
+    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

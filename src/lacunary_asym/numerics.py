@@ -1,4 +1,4 @@
-"""Precision management and numerically stable summation primitives.
+"""Precision management, coded errors and the shared value types.
 
 All approximate arithmetic in this package runs on mpmath reals at a
 context-fixed mantissa width.  A PrecisionContext with ``bits`` of working
@@ -13,10 +13,9 @@ deterministic: same inputs, bit-identical outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from mpmath import mp, mpf
 
@@ -95,55 +94,8 @@ class LogValue:
     def zero(cls) -> "LogValue":
         return cls(mpf("-inf"), True)
 
-    def add(self, other: "LogValue", ctx: PrecisionContext = DEFAULT_CTX) -> "LogValue":
-        """Log-sum-exp combination: log(e^self + e^other)."""
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        with ctx.prec():
-            hi, lo = self.log_magnitude, other.log_magnitude
-            if lo > hi:
-                hi, lo = lo, hi
-            return LogValue(hi + mp.log1p(mp.exp(lo - hi)))
-
     def exp(self, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         if self.is_zero:
             return mpf(0)
         with ctx.prec():
             return mp.exp(self.log_magnitude)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); zero when k is outside 0..n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def log_sum_exp(terms: Iterable[Real], ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """log(sum_i e^{t_i}) by max-shifting; relative error <= eps * len(terms)."""
-    with ctx.prec():
-        ts = [as_real(t) for t in terms]
-        if not ts:
-            raise DomainError("empty-sum", "log_sum_exp needs at least one term")
-        m = max(ts)
-        if mp.isinf(m):
-            return m
-        return m + mp.log(mp.fsum(mp.exp(t - m) for t in ts))
-
-
-def compensated_sum(terms: Sequence[Real], ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """Neumaier-compensated sum; error independent of ordering up to 2 eps sum|t_i|."""
-    with ctx.prec():
-        total = mpf(0)
-        carry = mpf(0)
-        for term in terms:
-            t = as_real(term)
-            partial = total + t
-            if abs(total) >= abs(t):
-                carry += (total - partial) + t
-            else:
-                carry += (t - partial) + total
-            total = partial
-        return total + carry

@@ -62,33 +62,39 @@ def _validate_exact_y(y) -> Fraction:
     return yq
 
 
-def eval_exact(n: int, y) -> ExactRational:
-    """Exact rational value of f_n(1/y).
+def _exact_sum(n: int, r: int, y) -> ExactRational:
+    """sum_k C(n,k) y^-C(k+r,2) exactly, for n, r >= 0 and rational y > 0.
 
-    Summed over a common denominator p^C(n,2) (y = p/q in lowest terms) so
-    the single final reduction is the only gcd on big integers.
+    Summed over a common denominator p^C(n+r,2) (y = p/q in lowest terms)
+    so the single final reduction is the only gcd on big integers.
     """
-    if n > EXACT_MODE_CAP:
+    if n < 0 or r < 0:
+        raise DomainError("n-out-of-domain", "n and r must be non-negative")
+    if n + r > EXACT_MODE_CAP:
         raise DomainError(
             "exact-cap-exceeded",
-            f"n={n} above exact mode cap {EXACT_MODE_CAP}; use float or log mode",
+            f"n+r={n + r} above exact mode cap {EXACT_MODE_CAP}; use float or log mode",
         )
-    if n < 0:
-        raise DomainError("n-out-of-domain", "n must be a non-negative integer")
     yq = _validate_exact_y(y)
     p, q = yq.numerator, yq.denominator
-    top_exp = n * (n - 1) // 2
+    top_exp = (n + r) * (n + r - 1) // 2  # C(n+r,2), the largest exponent
+    base_exp = r * (r - 1) // 2  # C(r,2), the k=0 exponent
     total = 0
     c = 1  # C(n,k)
-    qpow = 1  # q^C(k,2)
-    ppow = p**top_exp  # p^(C(n,2) - C(k,2))
+    qpow = q**base_exp  # q^C(k+r,2)
+    ppow = p ** (top_exp - base_exp)  # p^(C(n+r,2) - C(k+r,2))
     for k in range(n + 1):
         total += c * qpow * ppow
         if k < n:
             c = c * (n - k) // (k + 1)
-            qpow *= q**k
-            ppow //= p**k
+            qpow *= q ** (k + r)
+            ppow //= p ** (k + r)
     return Fraction(total, p**top_exp)
+
+
+def eval_exact(n: int, y) -> ExactRational:
+    """Exact rational value of f_n(1/y), the r = 0 case of forward_difference."""
+    return _exact_sum(n, 0, y)
 
 
 def _require_y_above_1(ym: mpf) -> None:
@@ -195,28 +201,7 @@ def forward_difference(n: int, r: int, y) -> ExactRational:
 
     D^r f_n(1/y) = sum_k C(n,k) y^-C(k+r,2); strictly positive for y > 0.
     """
-    if n < 0 or r < 0:
-        raise DomainError("n-out-of-domain", "n and r must be non-negative")
-    if n + r > EXACT_MODE_CAP:
-        raise DomainError(
-            "exact-cap-exceeded",
-            f"n+r={n + r} above exact mode cap {EXACT_MODE_CAP}",
-        )
-    yq = _validate_exact_y(y)
-    p, q = yq.numerator, yq.denominator
-    top_exp = (n + r) * (n + r - 1) // 2  # C(n+r,2), the largest exponent
-    base_exp = r * (r - 1) // 2  # C(r,2), the k=0 exponent
-    total = 0
-    c = 1
-    qpow = q**base_exp
-    ppow = p ** (top_exp - base_exp)
-    for k in range(n + 1):
-        total += c * qpow * ppow
-        if k < n:
-            c = c * (n - k) // (k + 1)
-            qpow *= q ** (k + r)
-            ppow //= p ** (k + r)
-    return Fraction(total, p**top_exp)
+    return _exact_sum(n, r, y)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ the advertised bound |residual| <= 4 eps * rhs holds on return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 from mpmath import mp, mpf
 
@@ -118,48 +118,49 @@ def lambert_w(x, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
         return RootResult(+result.t, +result.residual, result.iterations)
 
 
-def _check_saddle_args(n, y, ctx: PrecisionContext):
+def _rhs(n, y, ctx: PrecisionContext):
+    """sqrt(y) and the common right side n sqrt(y) log y, at guard precision."""
     with ctx.prec(_SOLVER_GUARD):
         nm = as_real(n)
         ym = as_real(y)
-    if not nm > 0:
-        raise DomainError("n-out-of-domain", "saddle equations need n > 0")
-    if not ym > 1:
-        raise DomainError("y-out-of-domain", "saddle equations need y > 1")
-    return nm, ym
-
-
-def solve_w(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
-    """Root w(n) of w e^w = n sqrt(y) log y."""
-    nm, ym = _check_saddle_args(n, y, ctx)
-    with ctx.prec(_SOLVER_GUARD):
-        rhs = nm * mp.sqrt(ym) * mp.log(ym)
-    return lambert_w(rhs, ctx)
-
-
-def solve_r(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
-    """Root r(n) of t (e^t + sqrt(y)) = n sqrt(y) log y.
-
-    The Lambert root of the same right side is an upper bound (dropping
-    the sqrt(y) term raises the root), so [0, w] brackets r and w itself
-    is the starting point.
-    """
-    nm, ym = _check_saddle_args(n, y, ctx)
-    with ctx.prec(_SOLVER_GUARD):
+        if not nm > 0:
+            raise DomainError("n-out-of-domain", "saddle equations need n > 0")
+        if not ym > 1:
+            raise DomainError("y-out-of-domain", "saddle equations need y > 1")
         sqrt_y = mp.sqrt(ym)
-        rhs = nm * sqrt_y * mp.log(ym)
-        w = lambert_w(rhs, ctx).t
+        return sqrt_y, nm * sqrt_y * mp.log(ym)
+
+
+def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:
+    """Both roots (w, r) from one right side and one Lambert solve.
+
+    Dropping the sqrt(y) term raises the root, so w bounds r from above:
+    [0, w] brackets r and w itself is the starting point.
+    """
+    sqrt_y, rhs = _rhs(n, y, ctx)
+    w = lambert_w(rhs, ctx)
+    with ctx.prec(_SOLVER_GUARD):
         result = _newton_bracketed(
             lambda t: t * (mp.exp(t) + sqrt_y) - rhs,
             lambda t: mp.exp(t) * (1 + t) + sqrt_y,
             mpf(0),
-            w,
-            w,
+            w.t,
+            w.t,
             rhs,
             ctx,
         )
     with ctx.prec():
-        return RootResult(+result.t, +result.residual, result.iterations)
+        return w, RootResult(+result.t, +result.residual, result.iterations)
+
+
+def solve_w(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
+    """Root w(n) of w e^w = n sqrt(y) log y."""
+    return lambert_w(_rhs(n, y, ctx)[1], ctx)
+
+
+def solve_r(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
+    """Root r(n) of t (e^t + sqrt(y)) = n sqrt(y) log y."""
+    return _saddle_roots(n, y, ctx)[1]
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ class ResidualRelations:
 
 def residual_relations(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> ResidualRelations:
     """Both roots plus the gap quantities w - r, w^2 - r^2, w / r."""
-    w = solve_w(n, y, ctx).t
-    r = solve_r(n, y, ctx).t
+    w_root, r_root = _saddle_roots(n, y, ctx)
+    w, r = w_root.t, r_root.t
     with ctx.prec():
         return ResidualRelations(w, r, +(w - r), +(w * w - r * r), +(w / r))

@@ -4,12 +4,13 @@ output formats, determinism, and the monotonicity certificate."""
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from lacunary_asym import cli
+from lacunary_asym import cli, eval_exact
 from lacunary_asym.cli import (
     COMPARE_FIELDS,
     EXIT_DOMAIN,
@@ -248,6 +249,22 @@ class TestMonotoneCommand:
         assert status == EXIT_OK
         cert = json.loads(out)["certificate"]
         assert cert["entries"] == [{"n": 0, "r": 0, "value": "1/1"}]
+
+    def test_entries_beyond_int_str_limit(self):
+        # f_70(1/100) has the 4831-digit denominator 100^C(70,2), past the
+        # interpreter's default int-to-str limit of 4300 digits
+        status, out = render(["monotone", "--y", "100", "--N", "70", "--R", "0"])
+        assert status == EXIT_OK
+        printed = [e["value"] for e in json.loads(out)["certificate"]["entries"]]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            values = [eval_exact(n, 100) for n in range(71)]
+            want = [f"{v.numerator}/{v.denominator}" for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert printed == want
+        assert len(want[-1]) > 4300
 
     def test_config_echo_carries_N_R(self):
         _, out = render(["monotone", "--y", "3/2", "--N", "2", "--R", "1"])

@@ -1,20 +1,13 @@
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from lacunary_asym import (
-    DomainError,
     LogValue,
     PrecisionContext,
     as_real,
-    binomial,
-    compensated_sum,
-    log_sum_exp,
 )
-from lacunary_asym.numerics import DEFAULT_CTX
 
 
 class TestPrecisionContext:
@@ -67,74 +60,3 @@ class TestLogValue:
         with ctx.prec():
             v = LogValue(mp.log(mpf(42)))
             assert abs(v.exp() - 42) <= 42 * ctx.eps
-
-    def test_add_matches_direct(self, ctx):
-        # log(e^2 + e^3) against direct evaluation
-        with ctx.prec():
-            a, b = LogValue(mpf(2)), LogValue(mpf(3))
-            expect = mp.log(mp.exp(2) + mp.exp(3))
-            assert abs(a.add(b, ctx).log_magnitude - expect) <= 8 * ctx.eps
-
-    def test_add_huge_scales(self, ctx):
-        # would overflow any fixed-width exponent if done naively
-        with ctx.prec():
-            a = LogValue(mpf(10) ** 6)
-            b = LogValue(mpf(10) ** 6 + 1)
-            out = a.add(b, ctx).log_magnitude
-            expect = mpf(10) ** 6 + 1 + mp.log1p(mp.exp(-1))
-            assert abs(out - expect) <= 8 * ctx.eps
-
-    def test_add_zero(self, ctx):
-        v = LogValue(mpf(5))
-        assert v.add(LogValue.zero(), ctx).log_magnitude == v.log_magnitude
-        assert LogValue.zero().add(v, ctx).log_magnitude == v.log_magnitude
-
-
-class TestLogSumExp:
-    def test_empty_raises(self, ctx):
-        with pytest.raises(DomainError) as exc:
-            log_sum_exp([], ctx)
-        assert exc.value.code == "empty-sum"
-
-    def test_single_term(self, ctx):
-        assert log_sum_exp([mpf(3)], ctx) == 3
-
-    def test_against_high_precision_direct(self, ctx):
-        terms = [mpf(-5), mpf(0), mpf(2), mpf("2.5")]
-        with mp.workprec(400):
-            expect = mp.log(mp.fsum(mp.exp(t) for t in terms))
-        got = log_sum_exp(terms, ctx)
-        assert abs(got - expect) <= 8 * ctx.eps
-
-    @given(st.lists(st.floats(-200, 200), min_size=1, max_size=12))
-    def test_property_matches_direct(self, values):
-        ctx = DEFAULT_CTX
-        terms = [mpf(v) for v in values]
-        with mp.workprec(500):
-            expect = mp.log(mp.fsum(mp.exp(t) for t in terms))
-        got = log_sum_exp(terms, ctx)
-        assert abs(got - expect) <= 16 * ctx.eps * max(1, abs(expect))
-
-
-class TestBinomial:
-    def test_matches_math_comb(self):
-        for n in range(12):
-            for k in range(n + 1):
-                assert binomial(n, k) == math.comb(n, k)
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, 6) == 0
-        assert binomial(5, -1) == 0
-
-
-class TestCompensatedSum:
-    def test_recovers_cancelled_unit(self, ctx):
-        # 1 is invisible next to 2^200 at 128-bit working precision
-        with ctx.prec():
-            big = mpf(2) ** 200
-            total = compensated_sum([mpf(1), big, -big], ctx)
-            assert total == 1
-
-    def test_plain_sum(self, ctx):
-        total = compensated_sum([mpf(1), mpf(2), mpf(3)], ctx)
-        assert total == 6

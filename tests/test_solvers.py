@@ -17,6 +17,8 @@ from lacunary_asym import (
     ComputationError,
     PrecisionContext,
     RootResult,
+    approx_theorem,
+    approximation_summary,
     lambert_w,
     residual_relations,
     solve_r,
@@ -240,6 +242,28 @@ class TestResidualRelations:
         ratios = [residual_relations(10**j, 2, ctx).w_over_r for j in (2, 4, 6)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] - 1 < mpf("0.05")
+
+
+class TestOneLambertSolve:
+    def test_each_consumer_solves_w_once(self, ctx, monkeypatch):
+        # w is solved once per (n, y) and reused as the bracket of r
+        real = sv.lambert_w
+        calls = []
+
+        def counting(x, c=ctx):
+            calls.append(x)
+            return real(x, c)
+
+        monkeypatch.setattr(sv, "lambert_w", counting)
+        for consumer in (
+            solve_r,
+            residual_relations,
+            approximation_summary,
+            approx_theorem,
+        ):
+            calls.clear()
+            consumer(100, 2, ctx)
+            assert len(calls) == 1, consumer.__name__
 
 
 class TestDivergenceGuard:
