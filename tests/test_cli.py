@@ -402,3 +402,30 @@ class TestGoldenBytes:
         assert status == EXIT_OK
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == GOLDEN_DIGESTS[request.node.callspec.id]
+
+
+# Full 36-digit csv rows of eval close to y = 1, where the k-walk runs
+# thousands of terms (17,265 at n = 1e5) and any drift in the float or
+# log arithmetic of the walk would reach the printed digits.
+NEAR_ONE_EVAL_ROWS = [
+    (
+        "1.0001",
+        "100000",
+        "100000,1.0001,31177.784456140104366020492158726324,17265,"
+        "4.17875128510279514708707224125248168e+13506",
+    ),
+    (
+        "1.01",
+        "1000",
+        "1000,1.01,312.817186168230353074567783346628897,260,"
+        "8.69881428759824852141981214079994724e+101",
+    ),
+]
+
+
+class TestNearOneEvalRows:
+    @pytest.mark.parametrize("y,n,row", NEAR_ONE_EVAL_ROWS)
+    def test_csv_row(self, y, n, row):
+        status, out = render(["eval", "--y", y, "--n", n, "--format", "csv"])
+        assert status == EXIT_OK
+        assert out == "n,y,log_f,terms_used,omitted_tail_bound\n" + row + "\n"
