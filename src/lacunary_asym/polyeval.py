@@ -2,8 +2,9 @@
 
     f_n(z) = sum_{k=0}^{n} C(n,k) * z^{C(k,2)}
 
-at z = 1/y: exactly over the rationals, in high-precision floating point,
-and in log space with adaptive truncation of the k-sum.  Also computes the
+at z = 1/y: exactly over the rationals, and in high-precision floating
+point by one linear term walk with adaptive truncation of the k-sum, whose
+log gives log f_n (mpf exponents are unbounded).  Also computes the
 iterated forward differences in n,
 
     D^r f_n(1/y) = sum_{k=0}^{n} C(n,k) * y^{-C(k+r,2)},
@@ -12,14 +13,16 @@ and certifies their positivity (absolute monotonicity) against independent
 telescoping.
 
 Exact mode works for any rational y > 0; the float and log paths require
-y > 1, which is the regime where the term-ratio truncation bound applies.
+an integer n and a finite y > 1, the regime where the term-ratio
+truncation bound applies.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from mpmath import mp, mpf
 
@@ -37,19 +40,22 @@ from .numerics import (
 # range; float/log modes take over.
 EXACT_MODE_CAP = 3000
 
-# Extra mantissa bits for the incremental term recurrences, so their
-# accumulated drift stays far below the context tolerance even when the
-# truncated sum runs long (y barely above 1).
+# Extra mantissa bits for the linear term walk behind both the float and the
+# log path, so the drift of its incremental recurrences stays far below the
+# context tolerance even when the truncated sum runs long (y barely above 1).
+# No log-sum-exp is needed: mpf exponents are unbounded.
 _LOOP_GUARD = 32
 
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """How much of the k-sum was evaluated and a bound on what was dropped."""
+    """How much of the k-sum was evaluated and a bound on what was dropped,
+    absolute and relative to the sum (both 0 when nothing was dropped)."""
 
     terms_used: int
     first_omitted_index: Optional[int]
     omitted_tail_bound: mpf
+    relative_tail_bound: mpf
 
 
 def _validate_exact_y(y) -> Fraction:
@@ -97,9 +103,48 @@ def eval_exact(n: int, y) -> ExactRational:
     return _exact_sum(n, 0, y)
 
 
-def _require_y_above_1(ym: mpf) -> None:
-    if not ym > 1:
-        raise DomainError("y-out-of-domain", "float/log evaluation needs y > 1")
+def _term_walk(
+    n: int, y, ctx: PrecisionContext, truncate: bool, n_min: int = 0
+) -> Tuple[mpf, TruncationReport]:
+    """Linear sum of t_k = C(n,k) y^{-C(k,2)} from k = 0, at ctx.prec(_LOOP_GUARD).
+
+    Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
+    decreases strictly in k.  Once it drops below 1 the tail is
+    geometrically dominated by t_k * rho/(1 - rho); with ``truncate`` the
+    walk stops at the first k where that bound is within eps of the
+    running total.  The sum comes back unrounded, the report rounded.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < n_min:
+        raise DomainError("n-out-of-domain", f"n must be an integer >= {n_min}, got {n!r}")
+    with ctx.prec(_LOOP_GUARD):
+        try:
+            ym = as_real(y)
+        except (TypeError, ValueError) as exc:
+            raise DomainError("y-out-of-domain", f"y must be real, got {y!r}") from exc
+        if not (ym > 1 and mp.isfinite(ym)):
+            raise DomainError(
+                "y-out-of-domain", f"float/log evaluation needs finite y > 1, got {y!r}"
+            )
+        eps = ctx.eps
+        yinv = 1 / ym
+        ypow = mpf(1)  # y^-k
+        term = mpf(1)  # C(n,k) y^-C(k,2)
+        total = mpf(0)
+        for k in range(n):
+            total += term
+            ratio = (mpf(n - k) / (k + 1)) * ypow
+            if truncate and ratio < 1:
+                bound = term * ratio / (1 - ratio)
+                if bound <= eps * total:
+                    omitted = k + 1
+                    break
+            term *= ratio
+            ypow *= yinv
+        else:
+            total += term  # the k = n term
+            omitted, bound = None, mpf(0)
+    with ctx.prec():
+        return total, TruncationReport(omitted or n + 1, omitted, +bound, bound / total)
 
 
 def eval_float(
@@ -107,41 +152,12 @@ def eval_float(
 ) -> Tuple[mpf, TruncationReport]:
     """f_n(1/y) as a high-precision real, k-sum truncated by the ratio test.
 
-    Terms t_k = C(n,k) y^{-C(k,2)} are unimodal: the ratio
-    t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k} decreases strictly in k.  Once it
-    drops below 1 the tail is geometrically dominated, giving the rigorous
-    bound t_k * rho/(1 - rho) recorded in the report.
+    The report carries the rigorous bound t_k * rho/(1 - rho) on the
+    dropped tail, absolute and relative to f.
     """
-    if n < 0:
-        raise DomainError("n-out-of-domain", "n must be a non-negative integer")
-    with ctx.prec(_LOOP_GUARD):
-        ym = as_real(Fraction(y) if isinstance(y, Fraction) else y)
-        _require_y_above_1(ym)
-        eps = ctx.eps
-        yinv = 1 / ym
-        ypow = mpf(1)  # y^-k
-        term = mpf(1)  # C(n,k) y^-C(k,2)
-        total = mpf(0)
-        k = 0
-        report = None
-        while report is None:
-            total += term
-            if k == n:
-                report = TruncationReport(k + 1, None, mpf(0))
-                break
-            ratio = (mpf(n - k) / (k + 1)) * ypow
-            if ratio < 1:
-                bound = term * ratio / (1 - ratio)
-                if bound <= eps * total:
-                    report = TruncationReport(k + 1, k + 1, bound)
-                    break
-            term *= ratio
-            ypow *= yinv
-            k += 1
+    total, report = _term_walk(n, y, ctx, truncate=True)
     with ctx.prec():
-        return +total, TruncationReport(
-            report.terms_used, report.first_omitted_index, +report.omitted_tail_bound
-        )
+        return +total, report
 
 
 def eval_log(
@@ -150,50 +166,15 @@ def eval_log(
     ctx: PrecisionContext = DEFAULT_CTX,
     truncate: bool = True,
 ) -> Tuple[LogValue, TruncationReport]:
-    """log f_n(1/y) by log-sum-exp over log C(n,k) - C(k,2) log y.
+    """log f_n(1/y): the log of the same linear term walk as eval_float.
 
-    Same adaptive truncation as eval_float; ``truncate=False`` forces the
-    full (n+1)-term summation, used as an independent cross-check for
-    moderate n.  Binomials are carried as exact integers so each log-term
-    costs one rounding.
+    mpf exponents are unbounded, so the linear sum never overflows however
+    large log f_n grows.  ``truncate=False`` forces the full (n+1)-term
+    summation, used as a cross-check of the truncation for moderate n.
     """
-    if n < 1:
-        raise DomainError("n-out-of-domain", "log evaluation needs n >= 1")
-    with ctx.prec(_LOOP_GUARD):
-        ym = as_real(Fraction(y) if isinstance(y, Fraction) else y)
-        _require_y_above_1(ym)
-        eps_log = mp.log(ctx.eps)
-        logy = mp.log(ym)
-        yinv = 1 / ym
-        ypow = mpf(1)  # y^-k
-        c = 1  # C(n,k)
-        k = 0
-        running = mpf("-inf")
-        report = None
-        while report is None:
-            log_term = mp.log(mpf(c)) - (k * (k - 1) // 2) * logy
-            if mp.isinf(running):
-                running = log_term
-            else:
-                hi, lo = (running, log_term) if running >= log_term else (log_term, running)
-                running = hi + mp.log1p(mp.exp(lo - hi))
-            if k == n:
-                report = TruncationReport(k + 1, None, mpf(0))
-                break
-            if truncate:
-                ratio = (mpf(n - k) / (k + 1)) * ypow
-                if ratio < 1:
-                    bound_log = log_term + mp.log(ratio) - mp.log1p(-ratio)
-                    if bound_log <= eps_log + running:
-                        report = TruncationReport(k + 1, k + 1, mp.exp(bound_log))
-                        break
-            c = c * (n - k) // (k + 1)
-            ypow *= yinv
-            k += 1
+    total, report = _term_walk(n, y, ctx, truncate, n_min=1)
     with ctx.prec():
-        return LogValue(+running), TruncationReport(
-            report.terms_used, report.first_omitted_index, +report.omitted_tail_bound
-        )
+        return LogValue(mp.log(total)), report
 
 
 def forward_difference(n: int, r: int, y) -> ExactRational:

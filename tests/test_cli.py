@@ -4,6 +4,8 @@ output formats, determinism, and the monotonicity certificate."""
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -307,6 +309,28 @@ class TestDeterminismAndIO:
         assert code == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0].startswith("n")
 
+    def test_closed_pipe_exits_quietly(self):
+        # `lacunary-asym compare ... | head -1`: the reader is gone before the
+        # rows are written; the console entry point must not print a traceback
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        argv = ["compare", "--y", "2", "--n-from", "10", "--n-to", "1000000"]
+        script = "from lacunary_asym.cli import entrypoint; entrypoint()"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
+
     def test_higher_bits_give_longer_digits(self):
         _, out64 = render(["solve", "--y", "2", "--n", "10", "--bits", "64", "--format", "csv"])
         _, out256 = render(["solve", "--y", "2", "--n", "10", "--bits", "256", "--format", "csv"])
@@ -424,7 +448,9 @@ NEAR_ONE_EVAL_ROWS = [
 
 
 class TestNearOneEvalRows:
-    @pytest.mark.parametrize("y,n,row", NEAR_ONE_EVAL_ROWS)
+    @pytest.mark.parametrize(
+        "y,n,row", NEAR_ONE_EVAL_ROWS, ids=[f"{y}-{n}" for y, n, _ in NEAR_ONE_EVAL_ROWS]
+    )
     def test_csv_row(self, y, n, row):
         status, out = render(["eval", "--y", y, "--n", n, "--format", "csv"])
         assert status == EXIT_OK

@@ -154,6 +154,32 @@ class TestEvalFloat:
         with pytest.raises(DomainError):
             eval_float(-2, 2, ctx)
 
+    def test_rejects_non_integer_n(self, ctx):
+        # a fractional n used to return a value with a negative tail bound
+        for bad in (10.5, True):
+            with pytest.raises(DomainError) as exc:
+                eval_float(bad, 2, ctx)
+            assert exc.value.code == "n-out-of-domain"
+
+    def test_rejects_infinite_y(self, ctx):
+        # used to return 11, the value at y = inf of the truncated walk
+        with pytest.raises(DomainError) as exc:
+            eval_float(10, mp.inf, ctx)
+        assert exc.value.code == "y-out-of-domain"
+
+    def test_relative_tail_bound(self, ctx):
+        val, rep = eval_float(500, 2, ctx)
+        assert rep.first_omitted_index is not None
+        with ctx.prec():
+            want = rep.omitted_tail_bound / val
+            assert 0 < rep.relative_tail_bound <= ctx.eps
+            assert abs(rep.relative_tail_bound - want) <= 4 * ctx.eps * want
+
+    def test_relative_tail_bound_zero_for_full_sum(self, ctx):
+        _, rep = eval_log(10, 2, ctx, truncate=False)
+        assert rep.first_omitted_index is None
+        assert rep.omitted_tail_bound == 0 and rep.relative_tail_bound == 0
+
     @given(
         n=st.integers(min_value=0, max_value=60),
         num=st.integers(min_value=5, max_value=32),
@@ -217,6 +243,54 @@ class TestEvalLog:
         with pytest.raises(DomainError) as exc:
             eval_log(5, 1, ctx)
         assert exc.value.code == "y-out-of-domain"
+
+    def test_rejects_non_integer_n(self, ctx):
+        # a fractional n used to raise a raw TypeError (complex ordering)
+        for bad in (10.5, True):
+            with pytest.raises(DomainError) as exc:
+                eval_log(bad, 2, ctx)
+            assert exc.value.code == "n-out-of-domain"
+
+    def test_rejects_infinite_y(self, ctx):
+        # used to return log f = nan
+        with pytest.raises(DomainError) as exc:
+            eval_log(10, mp.inf, ctx)
+        assert exc.value.code == "y-out-of-domain"
+
+
+def reference_log_f(n: int, y: Fraction, bits: int = 256) -> mpf:
+    """log f_n(1/y) from exp(log C(n,k) - C(k,2) log y) term by term.
+
+    Independent of the term walk behind eval_float and eval_log: every
+    log-binomial comes from mp.loggamma and the terms are added by
+    mp.fsum.  The terms are log-concave in k, so once one lies `cut`
+    below the largest so far, the n or fewer after it sum to less than
+    2^-bits of the total and are dropped.
+    """
+    with mp.workprec(bits):
+        logy = mp.log(as_real(y))
+        lg_n = mp.loggamma(n + 1)
+        cut = bits * mp.log(2) + mp.log(n + 1)
+        logs = []
+        peak = mpf("-inf")
+        for k in range(n + 1):
+            lt = lg_n - mp.loggamma(k + 1) - mp.loggamma(n - k + 1) - (k * (k - 1) // 2) * logy
+            logs.append(lt)
+            peak = max(peak, lt)
+            if lt < peak - cut:
+                break
+        return peak + mp.log(mp.fsum(mp.exp(lt - peak) for lt in logs))
+
+
+class TestEvalLogReference:
+    @pytest.mark.parametrize(
+        "n,y", [(10**4, Fraction(2)), (10**3, Fraction("1.01")), (10**5, Fraction("1.0001"))]
+    )
+    def test_matches_loggamma_reference(self, ctx, n, y):
+        lv, _ = eval_log(n, y, ctx)
+        ref = reference_log_f(n, y)
+        with mp.workprec(256):
+            assert abs(lv.log_magnitude - ref) <= 8 * ctx.eps * abs(ref)
 
 
 class TestLogRatioTrend:
