@@ -19,6 +19,8 @@ r(n) whose bounded oscillation is the Jacobi theta_3 factor
 
 Everything here assumes x < 1, which holds exactly when n >= 2: at n = 1
 the root is r = (log y)/2 for every y > 1, giving x = 1 on the nose.
+Root-only functions take the solvers' real n > 0; approx_theorem also
+evaluates f_n, so it needs an integer n >= 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .numerics import (
     LogValue,
     PrecisionContext,
     as_real,
+    require_eps,
 )
 from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r, solve_w
@@ -197,9 +200,7 @@ def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
         qm = as_real(q)
         if not (0 <= qm < 1):
             raise DomainError("nome-out-of-domain", "need nome q in [0, 1)")
-        epsm = ctx.eps if eps is None else as_real(eps)
-        if not epsm > 0:
-            raise DomainError("eps-out-of-domain", "need eps > 0")
+        epsm = ctx.eps if eps is None else as_real(require_eps(eps))
         osc, K = _theta_oscillation(zm, qm, epsm)
     with ctx.prec():
         return Theta3Result(+(1 + osc), K)
@@ -231,8 +232,6 @@ def rho(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 
 def approx_bdm(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """log of the Lambert-W approximation: -log(w)/2 + (w^2+2w)/(2 log y)."""
-    if n < 1:
-        raise DomainError("n-out-of-domain", "need n >= 1")
     root = solve_w(n, y, ctx)
     with ctx.prec(_GUARD):
         val = _lambert_form(root.t, mp.log(as_real(y)))
@@ -248,8 +247,6 @@ def approximation_summary(
     Cheap at any n (the k-sum of f_n is never touched), which is what the
     command line uses for large-n sweeps.
     """
-    if n < 1:
-        raise DomainError("n-out-of-domain", "need n >= 1")
     w_root, r_root = _saddle_roots(n, y, ctx)
     with ctx.prec(_GUARD):
         ym = as_real(y)

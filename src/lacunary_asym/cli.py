@@ -33,7 +33,7 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .asymptotics import approx_theorem, approximation_summary
-from .numerics import DomainError, LacunaryError, PrecisionContext, as_real
+from .numerics import LacunaryError, PrecisionContext, as_real, require_n
 from .polyeval import certify_absolute_monotonicity, eval_exact, eval_log
 from .quadrature import integrate_original, integrate_shifted
 from .solvers import residual_relations
@@ -44,6 +44,10 @@ BITS_ENV_VAR = "LACUNARY_BITS"
 # quadcheck gates and target, sized for the default 128-bit precision
 QUADCHECK_N_CAP = 60
 QUADCHECK_TOL = "1e-20"
+
+# Most --n-factor steps a geometric grid may take: the work budget that
+# keeps a factor close to 1 from looping for hours.
+GRID_STEP_CAP = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,13 +109,6 @@ def _sig_digits(bits: int) -> int:
     return int(bits * math.log10(2)) - 2
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational number {text!r}") from exc
-
-
 def _resolve_n_grid(args: argparse.Namespace) -> Tuple[int, ...]:
     has_list = args.n is not None
     has_range = args.n_from is not None or args.n_to is not None
@@ -127,15 +124,19 @@ def _resolve_n_grid(args: argparse.Namespace) -> Tuple[int, ...]:
     elif has_range:
         if args.n_from is None or args.n_to is None:
             raise UsageError("--n-from and --n-to must be given together")
-        factor = args.n_factor
-        if factor <= 1:
-            raise UsageError("--n-factor must exceed 1")
+        factor, n_from, n_to = args.n_factor, args.n_from, args.n_to
+        if not (math.isfinite(factor) and factor > 1):
+            raise UsageError("--n-factor must be a finite number above 1")
+        if not 1 <= n_from <= n_to <= sys.float_info.max:
+            raise UsageError("need 1 <= --n-from <= --n-to <= 1.8e308")
+        if math.log(n_to / n_from) / math.log(factor) > GRID_STEP_CAP:
+            raise UsageError(f"n grid longer than {GRID_STEP_CAP} steps; raise --n-factor")
         values = []
-        current = float(args.n_from)
-        while round(current) <= args.n_to:
+        current = float(n_from)
+        while math.isfinite(current) and round(current) <= n_to:
             values.append(int(round(current)))
             current *= factor
-        if not values:
+        if not values:  # float(n_from) can round above n_to beyond 2^53
             raise UsageError("empty n range")
     else:
         raise UsageError("one of --n or --n-from/--n-to is required")
@@ -170,18 +171,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_grid: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--y", required=True, help="base y (decimal or p/q), y > 1")
-        if with_grid:
-            p.add_argument("--n", help="comma-separated n values")
-            p.add_argument("--n-from", type=int, help="geometric grid start")
-            p.add_argument("--n-to", type=int, help="geometric grid end (inclusive)")
-            p.add_argument(
-                "--n-factor",
-                type=float,
-                default=10.0,
-                help="geometric grid ratio (default 10)",
-            )
+        p.add_argument("--n", help="comma-separated n values")
+        p.add_argument("--n-from", type=int, help="geometric grid start")
+        p.add_argument("--n-to", type=int, help="geometric grid end (inclusive)")
+        p.add_argument(
+            "--n-factor",
+            type=float,
+            default=10.0,
+            help="geometric grid ratio (default 10)",
+        )
         p.add_argument("--bits", type=int, help="mantissa bits (default 128)")
         p.add_argument(
             "--format",
@@ -218,39 +218,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     args = build_parser().parse_args(argv)
-    y = _parse_rational(args.y)
+    try:
+        y = Fraction(args.y)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse rational number {args.y!r}") from exc
     if y <= 1:
         raise UsageError("y must exceed 1")
     bits = _resolve_bits(args)
-    if args.command == "monotone":
-        if args.N < 0 or args.R < 0:
-            raise UsageError("--N and --R must be non-negative")
-        return RunConfig(
-            command="monotone",
-            y_raw=args.y,
-            y=y,
-            n_values=(),
-            bits=bits,
-            output_format="json",
-            output_path=args.output_path,
-            N=args.N,
-            R=args.R,
-        )
-    n_values = _resolve_n_grid(args)
+    monotone = args.command == "monotone"
+    if monotone and (args.N < 0 or args.R < 0):
+        raise UsageError("--N and --R must be non-negative")
     return RunConfig(
         command=args.command,
         y_raw=args.y,
         y=y,
-        n_values=n_values,
+        n_values=() if monotone else _resolve_n_grid(args),
         bits=bits,
         output_format=args.output_format,
         output_path=args.output_path,
+        N=getattr(args, "N", None),
+        R=getattr(args, "R", None),
     )
-
-
-def _y_str(config: RunConfig, sig: int) -> str:
-    with config.ctx.prec():
-        return _format_real(as_real(config.y), sig)
 
 
 def _eval_cells(config: RunConfig, n: int) -> Dict[str, object]:
@@ -278,8 +266,7 @@ def _compare_cells(config: RunConfig, n: int) -> Dict[str, object]:
 
 
 def _quadcheck_cells(config: RunConfig, n: int) -> Dict[str, object]:
-    if n > QUADCHECK_N_CAP:
-        raise DomainError("quad-cap", f"n={n} above quadcheck cap {QUADCHECK_N_CAP}")
+    require_n(n, cap=QUADCHECK_N_CAP, cap_code="quad-cap")
     ctx = config.ctx
     tol = mpf(QUADCHECK_TOL)
     exact = eval_exact(n, config.y)
@@ -327,7 +314,8 @@ def _format_cell(value: object, sig: int) -> str:
 def _rows(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
     fields, cells_of = _ROW_COMMANDS[config.command]
     sig = _sig_digits(config.bits)
-    ystr = _y_str(config, sig)
+    with config.ctx.prec():
+        ystr = _format_real(as_real(config.y), sig)
     rows = []
     for n in config.n_values:
         cells = {"n": n, "y": ystr, **cells_of(config, n)}
@@ -366,14 +354,8 @@ def _config_echo(config: RunConfig) -> Dict[str, object]:
     return echo
 
 
-def _emit_json(
-    config: RunConfig, rows: List[Dict[str, str]], stream: TextIO
-) -> None:
-    payload = {
-        "config": _config_echo(config),
-        "rows": rows,
-        "tool_version": __version__,
-    }
+def _emit_json(config: RunConfig, key: str, body: object, stream: TextIO) -> None:
+    payload = {"config": _config_echo(config), key: body, "tool_version": __version__}
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
@@ -390,20 +372,15 @@ def _run_monotone(config: RunConfig, stream: TextIO) -> int:
         {"n": e.n, "r": e.r, "value": f"{_digits(e.value.numerator)}/{_digits(e.value.denominator)}"}
         for e in cert.entries
     ]
-    payload = {
-        "config": _config_echo(config),
-        "certificate": {
-            "y": config.y_raw,
-            "N": cert.N,
-            "R": cert.R,
-            "entries": rows,
-            "verified_against_telescoping": True,
-            "all_positive": True,
-        },
-        "tool_version": __version__,
+    certificate = {
+        "y": config.y_raw,
+        "N": cert.N,
+        "R": cert.R,
+        "entries": rows,
+        "verified_against_telescoping": True,
+        "all_positive": True,
     }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    _emit_json(config, "certificate", certificate, stream)
     return EXIT_OK
 
 
@@ -414,7 +391,7 @@ def run(config: RunConfig, stream: TextIO) -> int:
     if config.output_format == "csv":
         _emit_csv(fields, rows, stream)
     elif config.output_format == "json":
-        _emit_json(config, rows, stream)
+        _emit_json(config, "rows", rows, stream)
     else:
         _emit_table(fields, rows, stream)
     if any(row.get("status") == "FAIL" for row in rows):
@@ -434,9 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
                 return run(config, fh)
         return run(config, sys.stdout)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except LacunaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

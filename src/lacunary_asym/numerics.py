@@ -1,4 +1,5 @@
-"""Precision management, coded errors and the shared value types.
+"""Precision management, coded errors, the input boundary and the shared
+value types.
 
 All approximate arithmetic in this package runs on mpmath reals at a
 context-fixed mantissa width.  A PrecisionContext with ``bits`` of working
@@ -9,13 +10,20 @@ precision promises results accurate to the relative tolerance
 so the guard bits absorb summation-length round-off and the occasional
 ill-conditioned subexpression.  Operations given the same context are
 deterministic: same inputs, bit-identical outputs.
+
+Every public entry point checks its n, y, eps (lambert_w: x) with the
+require_* functions below.  They decide exactly, on the rational value,
+raise a coded DomainError and hand the value back unchanged (exact y as a
+Fraction): each layer still applies as_real at its own precision.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from mpmath import mp, mpf
 
@@ -76,6 +84,70 @@ def as_real(value: Real) -> mpf:
     if isinstance(value, Fraction):
         return mpf(value.numerator) / value.denominator
     return mpf(value)
+
+
+def _exact(value, exact: bool) -> Fraction:
+    """The rational value of a real input, or TypeError/ValueError/ArithmeticError.
+
+    Exact mode takes what Fraction takes (not mpf).  Otherwise an mpf goes
+    through its mantissa and exponent, a decimal string through Decimal, and
+    the exponent is clamped to 64 places past the mantissa: that keeps the
+    side of 0 and 1, all a real domain asks, without building 10^(10^9).
+    """
+    if exact or isinstance(value, (numbers.Rational, float)) or (
+        isinstance(value, str) and "/" in value
+    ):
+        return Fraction(value)
+    if hasattr(value, "_mpf_"):  # mpf, and mpmath constants such as mp.e
+        sign, man, exp, _ = value._mpf_
+        if not man and exp:
+            raise OverflowError("inf or nan")
+        man, base = (-1) ** sign * man, 2
+    elif isinstance(value, str):
+        sign, digits, exp = Decimal(value).as_tuple()
+        if not isinstance(exp, int):
+            raise OverflowError("not finite")
+        man, base = int(Decimal((sign, digits, 0))), 10  # int(str) stops at 4300 digits
+    else:
+        raise TypeError(f"not a real number: {type(value).__name__}")
+    exp = max(min(exp, 64), -64 - man.bit_length())
+    return man * Fraction(base) ** exp
+
+
+def require_real(value, code: str, name: str, *, above: int = 0, exact: bool = False):
+    """``value`` itself if it is a finite real above ``above``; in exact mode
+    its Fraction, if it is a rational above ``above``.  Else DomainError(code)."""
+    kind = "rational" if exact else "finite real"
+    try:
+        q = _exact(value, exact)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(code, f"{name} must be a {kind}, got {value!r}") from exc
+    if not q > above:
+        raise DomainError(code, f"{name} must be a {kind} > {above}, got {value!r}")
+    return q if exact else value
+
+
+def require_y(y, *, exact: bool = False):
+    """y itself if it is a finite real > 1; in exact mode, y as a Fraction
+    if it is a rational > 0."""
+    return require_real(y, "y-out-of-domain", "y", above=0 if exact else 1, exact=exact)
+
+
+def require_n(
+    n, *, lo: int = 0, cap: Optional[int] = None, cap_code: str = "", name: str = "n"
+):
+    """n itself if it is an integer (not a bool) in [lo, cap], the cap error
+    coded ``cap_code``.  The solvers' real n goes through require_real."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < lo:
+        raise DomainError("n-out-of-domain", f"{name} must be an integer >= {lo}, got {n!r}")
+    if cap is not None and n > cap:
+        raise DomainError(cap_code, f"{name}={n} above the cap {cap}")
+    return n
+
+
+def require_eps(eps):
+    """eps itself if it is a finite real > 0."""
+    return require_real(eps, "eps-out-of-domain", "eps")
 
 
 @dataclass(frozen=True)

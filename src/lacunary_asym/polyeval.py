@@ -12,14 +12,14 @@ iterated forward differences in n,
 and certifies their positivity (absolute monotonicity) against independent
 telescoping.
 
-Exact mode works for any rational y > 0; the float and log paths require
-an integer n and a finite y > 1, the regime where the term-ratio
-truncation bound applies.
+Domains (checked through the numerics boundary): integers n, r >= 0, not
+bools (eval_log: n >= 1); exact mode takes a rational y > 0 and n + r <=
+EXACT_MODE_CAP, the float and log paths a finite real y > 1, the regime
+where the term-ratio truncation bound applies.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -29,11 +29,12 @@ from mpmath import mp, mpf
 from .numerics import (
     DEFAULT_CTX,
     ComputationError,
-    DomainError,
     ExactRational,
     LogValue,
     PrecisionContext,
     as_real,
+    require_n,
+    require_y,
 )
 
 # Beyond this the exact denominators y^C(n,2) grow into the multi-megabit
@@ -58,14 +59,13 @@ class TruncationReport:
     relative_tail_bound: mpf
 
 
-def _validate_exact_y(y) -> Fraction:
-    try:
-        yq = Fraction(y)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("y-out-of-domain", f"y must be rational, got {y!r}") from exc
-    if yq <= 0:
-        raise DomainError("y-out-of-domain", "exact evaluation needs y > 0")
-    return yq
+def _exact_args(n: int, r: int, y) -> Fraction:
+    """The exact-mode domain: integers n, r >= 0 with n + r within the cap
+    and a rational y > 0, returned as a Fraction."""
+    require_n(n)
+    require_n(r, name="r")
+    require_n(n + r, cap=EXACT_MODE_CAP, cap_code="exact-cap-exceeded", name="n+r")
+    return require_y(y, exact=True)
 
 
 def _exact_sum(n: int, r: int, y) -> ExactRational:
@@ -74,14 +74,7 @@ def _exact_sum(n: int, r: int, y) -> ExactRational:
     Summed over a common denominator p^C(n+r,2) (y = p/q in lowest terms)
     so the single final reduction is the only gcd on big integers.
     """
-    if n < 0 or r < 0:
-        raise DomainError("n-out-of-domain", "n and r must be non-negative")
-    if n + r > EXACT_MODE_CAP:
-        raise DomainError(
-            "exact-cap-exceeded",
-            f"n+r={n + r} above exact mode cap {EXACT_MODE_CAP}; use float or log mode",
-        )
-    yq = _validate_exact_y(y)
+    yq = _exact_args(n, r, y)
     p, q = yq.numerator, yq.denominator
     top_exp = (n + r) * (n + r - 1) // 2  # C(n+r,2), the largest exponent
     base_exp = r * (r - 1) // 2  # C(r,2), the k=0 exponent
@@ -114,19 +107,11 @@ def _term_walk(
     walk stops at the first k where that bound is within eps of the
     running total.  The sum comes back unrounded, the report rounded.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < n_min:
-        raise DomainError("n-out-of-domain", f"n must be an integer >= {n_min}, got {n!r}")
+    require_n(n, lo=n_min)
+    require_y(y)
     with ctx.prec(_LOOP_GUARD):
-        try:
-            ym = as_real(y)
-        except (TypeError, ValueError) as exc:
-            raise DomainError("y-out-of-domain", f"y must be real, got {y!r}") from exc
-        if not (ym > 1 and mp.isfinite(ym)):
-            raise DomainError(
-                "y-out-of-domain", f"float/log evaluation needs finite y > 1, got {y!r}"
-            )
         eps = ctx.eps
-        yinv = 1 / ym
+        yinv = 1 / as_real(y)
         ypow = mpf(1)  # y^-k
         term = mpf(1)  # C(n,k) y^-C(k,2)
         total = mpf(0)
@@ -207,14 +192,7 @@ def certify_absolute_monotonicity(N: int, R: int, y) -> MonotonicityCertificate:
     table T[r][n] = T[r-1][n+1] - T[r-1][n] built from plain evaluations,
     so the certificate rests on two independent computations.
     """
-    if N < 0 or R < 0:
-        raise DomainError("n-out-of-domain", "N and R must be non-negative")
-    if N + R > EXACT_MODE_CAP:
-        raise DomainError(
-            "exact-cap-exceeded",
-            f"N+R={N + R} above exact mode cap {EXACT_MODE_CAP}",
-        )
-    yq = _validate_exact_y(y)
+    yq = _exact_args(N, R, y)
     row = [eval_exact(m, yq) for m in range(N + R + 1)]
     entries = []
     for r in range(R + 1):

@@ -18,6 +18,10 @@ Working precision is raised per call by the known cancellation budget: the
 integrand mass can exceed the result by a factor e^{mass_log - result_log}
 (worst at k = 30, where the answer is ~2^-450 against an O(1) integrand),
 and flat roundoff must stay below the relative target of the result.
+
+The three integrators share one routine, _integrate, and one domain: an
+integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
+a finite y > 1 and a finite target_eps > 0.  Integrands take the same n, y.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .numerics import (
     DomainError,
     PrecisionContext,
     as_real,
+    require_eps,
+    require_n,
+    require_y,
 )
 from .solvers import solve_r
 
@@ -55,13 +62,7 @@ class QuadratureResult:
     step: mpf
     panels: int
     imag_residual: mpf
-
-
-def _require_y(y) -> mpf:
-    ym = as_real(y)
-    if not ym > 1:
-        raise DomainError("y-out-of-domain", "quadrature needs y > 1")
-    return ym
+    last_halving_diff: mpf  # |T_h - T_2h| of the last step halving, scaled as value
 
 
 def integrand_original(s, n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -70,9 +71,11 @@ def integrand_original(s, n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpc
     For integer n the principal-branch power agrees with the single-valued
     algebraic power everywhere, so no branch tracking is needed.
     """
+    require_n(n)
+    require_y(y)
     with ctx.prec(_GUARD):
         sm = as_real(s)
-        ym = _require_y(y)
+        ym = as_real(y)
         L = mp.log(ym)
         val = mp.exp(
             -sm * sm / (2 * L) + n * mp.log(1 + mp.sqrt(ym) * mp.expj(sm))
@@ -87,9 +90,11 @@ def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     Requires sqrt(y) e^{-r} < 1 so the inner log stays on its principal
     branch (the base then lives in the open disk of radius < 1 around 1).
     """
+    require_n(n)
+    require_y(y)
     with ctx.prec(_GUARD):
         sm = as_real(s)
-        ym = _require_y(y)
+        ym = as_real(y)
         rm = as_real(r)
         L = mp.log(ym)
         x = mp.sqrt(ym) * mp.exp(-rm)
@@ -106,16 +111,11 @@ def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
         return mpc(+val.real, +val.imag)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    S: float
-    h0: float
-    extra_bits: int
-    trunc_log: float  # log of the Gaussian-tail truncation bound
-
-
-def _plan(L: float, band: float, mass_log: float, result_log: float, eps: float) -> _Plan:
-    """Grid geometry from the crude mass bound.
+def _plan(
+    L: float, band: float, mass_log: float, result_log: float, eps: float
+) -> Tuple[float, float, int, float]:
+    """Grid geometry from the crude mass bound: the half width S, the step
+    h0, the extra bits and the log of the Gaussian-tail truncation bound.
 
     band:       highest Fourier mode of the non-Gaussian factor
     mass_log:   log sup of the integrand modulus
@@ -127,7 +127,7 @@ def _plan(L: float, band: float, mass_log: float, result_log: float, eps: float)
     S = math.sqrt(2 * L * (need + 5))
     h0 = 2 * math.pi / (band + math.sqrt(2 * need / L) + 4)
     extra = max(0, math.ceil((mass_log - result_log) / math.log(2))) + 8
-    return _Plan(S, h0, extra, mass_log - S * S / (2 * L))
+    return S, h0, extra, mass_log - S * S / (2 * L)
 
 
 def _row_factory(
@@ -170,7 +170,7 @@ def _trapezoid(
     S: mpf,
     h0: float,
     rel_tol: mpf,
-) -> Tuple[mpc, mpf, int]:
+) -> Tuple[mpc, mpf, int, mpf]:
     panels = max(int(math.ceil(2 * S / h0)), 8)
     h = 2 * S / panels
     vals = row(-S, h, panels + 1)
@@ -184,7 +184,7 @@ def _trapezoid(
         last_diff = abs(Tn - T)
         T = Tn
         if last_diff <= rel_tol * abs(T):
-            return T, h, panels
+            return T, h, panels, last_diff
     raise ComputationError(
         "quadrature-stalled",
         f"step halving did not converge in {MAX_HALVINGS} rounds "
@@ -193,39 +193,44 @@ def _trapezoid(
     )
 
 
-def _finish(
-    ctx: PrecisionContext, T: mpc, h: mpf, panels: int, y, trunc_log: float
+def _integrate(
+    n: int, y, ctx: PrecisionContext, target_eps, cap: int, setup
 ) -> QuadratureResult:
+    """Validate, plan, elevate the precision and sum A e^{-s^2/(2L)} e^{i beta s}
+    (1 + c e^{is})^n.  setup(ym, L) gives mass_log, result_log and
+    coefficients(ym, L), which gives log A, beta and c at elevated precision.
+    """
+    require_n(n, cap=cap, cap_code="quad-cap")
+    require_y(y)
+    eps = as_real(DEFAULT_TARGET_EPS if target_eps is None else require_eps(target_eps))
     with ctx.prec(_GUARD):
-        norm = mp.sqrt(2 * mp.pi * mp.log(as_real(y)))
-        value = T.real / norm
-        imag_res = abs(T.imag) / norm
+        ym = as_real(y)
+        L = mp.log(ym)
+        mass_log, result_log, coefficients = setup(ym, L)
+    S, h0, extra_bits, trunc_log = _plan(float(L), float(n), mass_log, result_log, float(eps))
+    with ctx.prec(_GUARD + extra_bits):
+        ym_hi = as_real(y)
+        L_hi = mp.log(ym_hi)
+        row = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n)
+        T, h, panels, diff = _trapezoid(row, mpf(S), h0, eps)
+    with ctx.prec(_GUARD):
+        norm = mp.sqrt(2 * mp.pi * L)
+        value, imag_res, diff = T.real / norm, abs(T.imag) / norm, diff / norm
         bound = mp.exp(mpf(trunc_log))
     with ctx.prec():
-        return QuadratureResult(+value, +bound, +h, panels, +imag_res)
+        return QuadratureResult(+value, +bound, +h, panels, +imag_res, +diff)
 
 
 def integrate_original(
     n: int, y, ctx: PrecisionContext = DEFAULT_CTX, target_eps=None
 ) -> QuadratureResult:
     """Quadrature of the real-axis representation; value approximates f_n(1/y)."""
-    if n < 0:
-        raise DomainError("n-out-of-domain", "need n >= 0")
-    if n > QUAD_N_CAP:
-        raise DomainError("quad-cap", f"n={n} above quadrature cap {QUAD_N_CAP}")
-    eps = mpf(DEFAULT_TARGET_EPS) if target_eps is None else as_real(target_eps)
-    if not eps > 0:
-        raise DomainError("eps-out-of-domain", "need target_eps > 0")
-    with ctx.prec(_GUARD):
-        ym = _require_y(y)
-        Lf = float(mp.log(ym))
+
+    def setup(ym, L):
         mass_log = n * float(mp.log1p(mp.sqrt(ym)))
-    plan = _plan(Lf, float(n), mass_log, 0.0, float(eps))
-    with ctx.prec(_GUARD + plan.extra_bits):
-        L = mp.log(as_real(y))
-        row = _row_factory(L, mpf(0), mpf(0), mp.sqrt(as_real(y)), n)
-        T, h, panels = _trapezoid(row, mpf(plan.S), plan.h0, eps)
-    return _finish(ctx, T, h, panels, y, plan.trunc_log)
+        return mass_log, 0.0, lambda ym, L: (mpf(0), mpf(0), mp.sqrt(ym))
+
+    return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
 
 
 def integrate_shifted(
@@ -237,29 +242,13 @@ def integrate_shifted(
     single-valued for every n, so the representation is usable down to
     n = 0 (shift 0) and n = 1 (where sqrt(y) e^{-r} = 1 exactly).
     """
-    if n < 0:
-        raise DomainError("n-out-of-domain", "need n >= 0")
-    if n > QUAD_N_CAP:
-        raise DomainError("quad-cap", f"n={n} above quadrature cap {QUAD_N_CAP}")
-    eps = mpf(DEFAULT_TARGET_EPS) if target_eps is None else as_real(target_eps)
-    if not eps > 0:
-        raise DomainError("eps-out-of-domain", "need target_eps > 0")
-    with ctx.prec(_GUARD):
-        ym = _require_y(y)
+
+    def setup(ym, L):
         r = solve_r(n, y, ctx).t if n > 0 else mpf(0)
-        L = mp.log(ym)
-        x = mp.sqrt(ym) * mp.exp(-r)
-        mass_log = float(r * r / (2 * L) + n * mp.log1p(x))
-        Lf = float(L)
-    plan = _plan(Lf, float(n), mass_log, 0.0, float(eps))
-    with ctx.prec(_GUARD + plan.extra_bits):
-        ym = as_real(y)
-        L = mp.log(ym)
-        rr = mpf(r)
-        x = mp.sqrt(ym) * mp.exp(-rr)
-        row = _row_factory(L, rr * rr / (2 * L), -rr / L, x, n)
-        T, h, panels = _trapezoid(row, mpf(plan.S), plan.h0, eps)
-    return _finish(ctx, T, h, panels, y, plan.trunc_log)
+        mass_log = float(r * r / (2 * L) + n * mp.log1p(mp.sqrt(ym) * mp.exp(-r)))
+        return mass_log, 0.0, lambda ym, L: (r * r / (2 * L), -r / L, mp.sqrt(ym) * mp.exp(-r))
+
+    return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
 
 
 def gaussian_fourier(
@@ -271,20 +260,8 @@ def gaussian_fourier(
     working precision is raised by ~ k^2 log2(y)/2 bits to keep flat
     roundoff below the relative target.
     """
-    if k < 0:
-        raise DomainError("n-out-of-domain", "need k >= 0")
-    if k > FOURIER_K_CAP:
-        raise DomainError("quad-cap", f"k={k} above Fourier cap {FOURIER_K_CAP}")
-    eps = mpf(DEFAULT_TARGET_EPS) if target_eps is None else as_real(target_eps)
-    if not eps > 0:
-        raise DomainError("eps-out-of-domain", "need target_eps > 0")
-    with ctx.prec(_GUARD):
-        ym = _require_y(y)
-        Lf = float(mp.log(ym))
-    result_log = -k * k * Lf / 2
-    plan = _plan(Lf, float(k), 0.0, result_log, float(eps))
-    with ctx.prec(_GUARD + plan.extra_bits):
-        L = mp.log(as_real(y))
-        row = _row_factory(L, mpf(0), mpf(k), mpf(0), 0)
-        T, h, panels = _trapezoid(row, mpf(plan.S), plan.h0, eps)
-    return _finish(ctx, T, h, panels, y, plan.trunc_log)
+
+    def setup(ym, L):
+        return 0.0, -k * k * float(L) / 2, lambda ym, L: (mpf(0), mpf(k), mpf(0))
+
+    return _integrate(k, y, ctx, target_eps, FOURIER_K_CAP, setup)

@@ -8,7 +8,8 @@ bracketed Newton iteration cannot fail: any step leaving the bracket is
 replaced by a bisection step and the bracket shrinks monotonically.
 
 Roots are certified: every RootResult carries the achieved residual, and
-the advertised bound |residual| <= 4 eps * rhs holds on return.
+the advertised bound |residual| <= 4 eps * rhs holds on return.  Domain:
+finite reals n > 0 (not only integers), y > 1 and Lambert argument x > 0.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from mpmath import mp, mpf
 from .numerics import (
     DEFAULT_CTX,
     ComputationError,
-    DomainError,
     PrecisionContext,
     as_real,
+    require_real,
+    require_y,
 )
 
 RESID_TOL_FACTOR = 4
@@ -91,10 +93,9 @@ def _newton_bracketed(
 
 def lambert_w(x, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
     """Positive-branch Lambert W: the t >= 0 with t e^t = x, for x > 0."""
+    require_real(x, "x-out-of-domain", "x")
     with ctx.prec(_SOLVER_GUARD):
         xm = as_real(x)
-        if not xm > 0:
-            raise DomainError("x-out-of-domain", "lambert_w needs x > 0")
         e = mp.e
         if xm <= e:
             # t <= x (e^t >= 1) and t <= 1 (t e^t increasing, value e at 1)
@@ -120,15 +121,12 @@ def lambert_w(x, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
 
 def _rhs(n, y, ctx: PrecisionContext):
     """sqrt(y) and the common right side n sqrt(y) log y, at guard precision."""
+    require_real(n, "n-out-of-domain", "n")
+    require_y(y)
     with ctx.prec(_SOLVER_GUARD):
-        nm = as_real(n)
         ym = as_real(y)
-        if not nm > 0:
-            raise DomainError("n-out-of-domain", "saddle equations need n > 0")
-        if not ym > 1:
-            raise DomainError("y-out-of-domain", "saddle equations need y > 1")
         sqrt_y = mp.sqrt(ym)
-        return sqrt_y, nm * sqrt_y * mp.log(ym)
+        return sqrt_y, as_real(n) * sqrt_y * mp.log(ym)
 
 
 def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:

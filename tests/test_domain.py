@@ -1,0 +1,177 @@
+"""The input boundary: one row per call that used to escape the coded-error
+contract (a raw TypeError/ValueError/OverflowError, a NaN, solver-diverged
+for plain invalid input, or a hang), plus the CLI grid cases.
+
+Every library row must raise DomainError with the named code; every CLI row
+must exit 2 with one ``error:`` line and no traceback.  The ``time_limit``
+fixture turns a reintroduced hang (``integrate_original(5.5, 2)`` used to
+run for hours) into a failure within seconds.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+
+from lacunary_asym import (
+    DomainError,
+    approx_bdm,
+    approximation_summary,
+    certify_absolute_monotonicity,
+    eval_exact,
+    forward_difference,
+    gaussian_fourier,
+    integrand_original,
+    integrate_original,
+    integrate_shifted,
+    lambert_w,
+    rho,
+    saddle_data,
+    solve_r,
+    solve_w,
+)
+from lacunary_asym import cli
+from lacunary_asym.cli import EXIT_OK, EXIT_USAGE
+from lacunary_asym.numerics import require_eps, require_n, require_y
+
+INF = math.inf
+
+
+def grid(*extra):
+    return ["approx", "--y", "2", "--n-from", "10", "--n-to", "100", *extra]
+
+
+CASES = [
+    # y = inf used to end in solver-diverged (the "bug" code)
+    pytest.param(lambda: solve_r(10, INF), "y-out-of-domain", id="solve_r(10, inf)"),
+    pytest.param(lambda: solve_w(10, INF), "y-out-of-domain", id="solve_w(10, inf)"),
+    pytest.param(
+        lambda: approximation_summary(10, INF),
+        "y-out-of-domain",
+        id="approximation_summary(10, inf)",
+    ),
+    pytest.param(lambda: approx_bdm(10, INF), "y-out-of-domain", id="approx_bdm(10, inf)"),
+    pytest.param(lambda: rho(10, INF), "y-out-of-domain", id="rho(10, inf)"),
+    pytest.param(lambda: saddle_data(10, INF), "y-out-of-domain", id="saddle_data(10, inf)"),
+    pytest.param(
+        lambda: integrate_shifted(5, INF), "y-out-of-domain", id="integrate_shifted(5, inf)"
+    ),
+    # infinite n and x: solver-diverged
+    pytest.param(lambda: solve_r(INF, 2), "n-out-of-domain", id="solve_r(inf, 2)"),
+    pytest.param(lambda: lambert_w(INF), "x-out-of-domain", id="lambert_w(inf)"),
+    # raw OverflowError
+    pytest.param(lambda: eval_exact(10, INF), "y-out-of-domain", id="eval_exact(10, inf)"),
+    pytest.param(
+        lambda: certify_absolute_monotonicity(3, 3, INF),
+        "y-out-of-domain",
+        id="certify_absolute_monotonicity(3, 3, inf)",
+    ),
+    pytest.param(
+        lambda: integrate_original(5, INF), "y-out-of-domain", id="integrate_original(5, inf)"
+    ),
+    pytest.param(
+        lambda: gaussian_fourier(3, INF), "y-out-of-domain", id="gaussian_fourier(3, inf)"
+    ),
+    # raw TypeError
+    pytest.param(lambda: eval_exact(10.5, 2), "n-out-of-domain", id="eval_exact(10.5, 2)"),
+    pytest.param(
+        lambda: certify_absolute_monotonicity(3.5, 1, 2),
+        "n-out-of-domain",
+        id="certify_absolute_monotonicity(3.5, 1, 2)",
+    ),
+    pytest.param(
+        lambda: forward_difference(3, 1.5, 2),
+        "n-out-of-domain",
+        id="forward_difference(3, 1.5, 2)",
+    ),
+    # raw ValueError
+    pytest.param(lambda: solve_r(10, "x"), "y-out-of-domain", id="solve_r(10, 'x')"),
+    pytest.param(
+        lambda: integrate_original(5, 2, target_eps=INF),
+        "eps-out-of-domain",
+        id="integrate_original(5, 2, target_eps=inf)",
+    ),
+    # returned nan
+    pytest.param(
+        lambda: integrand_original(0.1, 5, INF),
+        "y-out-of-domain",
+        id="integrand_original(0.1, 5, inf)",
+    ),
+    # returned 2 although eval_float rejects a bool n
+    pytest.param(lambda: eval_exact(True, 2), "n-out-of-domain", id="eval_exact(True, 2)"),
+    # ran until killed
+    pytest.param(
+        lambda: integrate_original(5.5, 2), "n-out-of-domain", id="integrate_original(5.5, 2)"
+    ),
+    # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
+    pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),
+    pytest.param(grid("--n-factor", "inf"), EXIT_USAGE, id="cli --n-factor inf"),
+    pytest.param(
+        ["approx", "--y", "2", "--n-from", "10", "--n-to", str(10**400)],
+        EXIT_USAGE,
+        id="cli --n-to 10^400",
+    ),
+    pytest.param(
+        ["approx", "--y", "2", "--n-from", "10", "--n-to", "1000000", "--n-factor", "1.000001"],
+        EXIT_USAGE,
+        id="cli --n-factor 1.000001",
+    ),
+    pytest.param(
+        ["quadcheck", "--y", "2", "--n-from", "0", "--n-to", "5"],
+        EXIT_USAGE,
+        id="cli --n-from 0",
+    ),
+]
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("case, expected", CASES)
+def test_rejected_with_a_code(case, expected, capsys):
+    if callable(case):
+        with pytest.raises(DomainError) as exc:
+            case()
+        assert exc.value.code == expected
+    else:
+        assert cli.main(case) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_factor_beyond_the_grid_gives_one_point(capsys):
+    # --n-factor 1e308 overflowed the next grid point to inf
+    assert cli.main(grid("--n-factor", "1e308", "--format", "csv")) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["10"]
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_boundary_decides_exactly_and_hands_values_back():
+    # just above 1 by less than any working precision resolves: still valid
+    for near_one in ("1." + "0" * 60 + "1", "1." + "0" * 5000 + "1"):
+        assert require_y(near_one) is near_one
+    for y in (mpf("1e1000000000"), "1e1000000000", mp.e, Fraction(3, 2), 2.5):
+        assert require_y(y) is y
+    for bad in ("1e-1000000000", mpf(1), -mp.inf, mp.nan, "nan", 1j, None):
+        with pytest.raises(DomainError) as exc:
+            require_y(bad)
+        assert exc.value.code == "y-out-of-domain"
+    # exact mode: any rational y > 0, as a Fraction; an mpf is not exact
+    assert require_y(1, exact=True) == 1 and require_y("1/2", exact=True) == Fraction(1, 2)
+    with pytest.raises(DomainError):
+        require_y(mpf(2), exact=True)
+    # integer n within [lo, cap]; the cap error carries the caller's code
+    assert require_n(5, lo=1, cap=5, cap_code="quad-cap") == 5
+    with pytest.raises(DomainError) as exc:
+        require_n(6, cap=5, cap_code="quad-cap")
+    assert exc.value.code == "quad-cap"
+    for bad in (True, 5.0, -1):
+        with pytest.raises(DomainError) as exc:
+            require_n(bad)
+        assert exc.value.code == "n-out-of-domain"
+    assert require_eps("1e-20") == "1e-20"
+    with pytest.raises(DomainError) as exc:
+        require_eps(0)
+    assert exc.value.code == "eps-out-of-domain"

@@ -128,6 +128,18 @@ class TestIntegrateOriginal:
             assert res.imag_residual <= mpf("1e-20") * scale
             assert res.truncation_bound <= mpf("1e-20") * scale
 
+    def test_last_halving_diff_is_the_stopping_evidence(self, ctx):
+        # the step halving stopped once this difference met the target; it is
+        # scaled like value, so with the tail bound it covers the distance to f
+        for integrate in (integrate_original, integrate_shifted):
+            res = integrate(6, 2, ctx)
+            exact = eval_exact(6, 2)
+            with mp.workprec(200):
+                f = mpf(exact.numerator) / exact.denominator
+                assert 0 < res.last_halving_diff <= mpf("1e-20") * abs(res.value)
+                slack = 2 * res.last_halving_diff + res.truncation_bound
+                assert abs(res.value - f) <= slack + mpf("1e-30") * f
+
     def test_tighter_target(self, ctx):
         res = integrate_original(10, 2, ctx, target_eps=Fraction(1, 10**30))
         exact = eval_exact(10, 2)
