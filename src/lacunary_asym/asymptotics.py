@@ -37,6 +37,7 @@ from .numerics import (
     PrecisionContext,
     as_real,
     require_eps,
+    require_n,
 )
 from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r, solve_w
@@ -100,8 +101,7 @@ def euler_frobenius(nu: int) -> List[int]:
     Recurrence: applying z d/dz to the generating identity gives
     P_{nu+1} = z(1-z) P_nu' + (nu+1) z P_nu.  Exact integers throughout.
     """
-    if nu < 0:
-        raise DomainError("nu-out-of-domain", "nu must be non-negative")
+    require_n(nu, code="nu-out-of-domain", name="nu")
     coeffs = [1]  # P_0
     for m in range(nu):
         # z(1-z) P' + (m+1) z P, degree grows by one

@@ -33,7 +33,14 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .asymptotics import approx_theorem, approximation_summary
-from .numerics import LacunaryError, PrecisionContext, as_real, require_n
+from .numerics import (
+    DomainError,
+    LacunaryError,
+    PrecisionContext,
+    as_real,
+    require_exact_bits,
+    require_n,
+)
 from .polyeval import certify_absolute_monotonicity, eval_exact, eval_log
 from .quadrature import integrate_original, integrate_shifted
 from .solvers import residual_relations
@@ -219,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Sequence[str]) -> RunConfig:
     args = build_parser().parse_args(argv)
     try:
-        y = Fraction(args.y)
+        y = Fraction(require_exact_bits(args.y))
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse rational number {args.y!r}") from exc
     if y <= 1:

@@ -14,7 +14,8 @@ deterministic: same inputs, bit-identical outputs.
 Every public entry point checks its n, y, eps (lambert_w: x) with the
 require_* functions below.  They decide exactly, on the rational value,
 raise a coded DomainError and hand the value back unchanged (exact y as a
-Fraction): each layer still applies as_real at its own precision.
+Fraction): each layer still applies as_real at its own precision.  Exact
+work is bounded by EXACT_BITS_CAP, checked before any big integer is built.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ from typing import Optional, Union
 from mpmath import mp, mpf
 
 # Exact rational values (reduced, positive denominator) are carried by the
-# stdlib Fraction type; it already guarantees gcd(num, den) = 1 and den > 0.
+# stdlib Fraction type.  Fraction's constructor reduces by a gcd; the exact
+# kernel skips it (coprime_fraction), since its proof gives lowest terms.
 ExactRational = Fraction
+
+# Most bits an exact value's numerator or denominator may be predicted to
+# need: the work budget of exact mode.  eval_exact(3000, 2) needs ~9.0M.
+EXACT_BITS_CAP = 10_000_000
 
 Real = Union[int, float, str, Fraction, mpf]
 
@@ -59,11 +65,11 @@ class PrecisionContext:
 
     def __post_init__(self) -> None:
         if self.bits < 53:
-            raise ValueError("bits must be at least 53")
+            raise DomainError("precision-out-of-domain", "bits must be at least 53")
         if self.guard_bits < 8:
-            raise ValueError("guard_bits must be at least 8")
+            raise DomainError("precision-out-of-domain", "guard_bits must be at least 8")
         if self.guard_bits >= self.bits:
-            raise ValueError("guard_bits must be smaller than bits")
+            raise DomainError("precision-out-of-domain", "guard_bits must be smaller than bits")
 
     @property
     def eps(self) -> mpf:
@@ -86,13 +92,41 @@ def as_real(value: Real) -> mpf:
     return mpf(value)
 
 
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) without the gcd, for coprime num and den > 0."""
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+        return Fraction._from_coprime_ints(num, den)
+    return Fraction(num, den, _normalize=False)
+
+
+def require_exact_bits(value, name: str = "y"):
+    """``value`` itself unless it is a decimal (str or Decimal) whose digits
+    and exponent need more than EXACT_BITS_CAP bits: DomainError
+    ("exact-bits-exceeded"), decided before Fraction builds 10^exponent."""
+    if not isinstance(value, (str, Decimal)):
+        return value
+    try:
+        _, digits, exp = Decimal(value).as_tuple()
+    except ArithmeticError:
+        return value  # not a decimal (say "3/2"); Fraction decides
+    size = len(digits) + abs(exp) if isinstance(exp, int) else 0
+    if 10 * size > 3 * EXACT_BITS_CAP:  # 10/3 bits per digit, above log2(10)
+        raise DomainError(
+            "exact-bits-exceeded",
+            f"{name} has {len(digits)} digits and decimal exponent {exp}, "
+            f"above the cap of {EXACT_BITS_CAP} bits",
+        )
+    return value
+
+
 def _exact(value, exact: bool) -> Fraction:
     """The rational value of a real input, or TypeError/ValueError/ArithmeticError.
 
-    Exact mode takes what Fraction takes (not mpf).  Otherwise an mpf goes
-    through its mantissa and exponent, a decimal string through Decimal, and
-    the exponent is clamped to 64 places past the mantissa: that keeps the
-    side of 0 and 1, all a real domain asks, without building 10^(10^9).
+    Exact mode takes what Fraction takes (not mpf); require_real has bounded
+    a decimal's size first.  Otherwise an mpf goes through its mantissa and
+    exponent, a decimal string through Decimal, and the exponent is clamped
+    to 64 places past the mantissa: that keeps the side of 0 and 1, all a
+    real domain asks, without building 10^(10^9).
     """
     if exact or isinstance(value, (numbers.Rational, float)) or (
         isinstance(value, str) and "/" in value
@@ -118,6 +152,8 @@ def require_real(value, code: str, name: str, *, above: int = 0, exact: bool = F
     """``value`` itself if it is a finite real above ``above``; in exact mode
     its Fraction, if it is a rational above ``above``.  Else DomainError(code)."""
     kind = "rational" if exact else "finite real"
+    if exact:
+        require_exact_bits(value, name)
     try:
         q = _exact(value, exact)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -134,12 +170,19 @@ def require_y(y, *, exact: bool = False):
 
 
 def require_n(
-    n, *, lo: int = 0, cap: Optional[int] = None, cap_code: str = "", name: str = "n"
+    n,
+    *,
+    lo: int = 0,
+    cap: Optional[int] = None,
+    cap_code: str = "",
+    name: str = "n",
+    code: str = "n-out-of-domain",
 ):
-    """n itself if it is an integer (not a bool) in [lo, cap], the cap error
-    coded ``cap_code``.  The solvers' real n goes through require_real."""
+    """n itself if it is an integer (not a bool) in [lo, cap], else
+    DomainError(code); the cap error is coded ``cap_code``.  The solvers'
+    real n goes through require_real."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < lo:
-        raise DomainError("n-out-of-domain", f"{name} must be an integer >= {lo}, got {n!r}")
+        raise DomainError(code, f"{name} must be an integer >= {lo}, got {n!r}")
     if cap is not None and n > cap:
         raise DomainError(cap_code, f"{name}={n} above the cap {cap}")
     return n
@@ -155,19 +198,7 @@ class LogValue:
     """A positive quantity stored as its natural log.
 
     mpf exponents are unbounded integers, so the representable range covers
-    log f_n for any n this package will ever see; the flag exists so an
-    exact zero survives round trips through log space.
+    log f_n for any n this package will ever see.
     """
 
     log_magnitude: mpf
-    is_zero: bool = False
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(mpf("-inf"), True)
-
-    def exp(self, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-        if self.is_zero:
-            return mpf(0)
-        with ctx.prec():
-            return mp.exp(self.log_magnitude)

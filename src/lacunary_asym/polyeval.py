@@ -13,26 +13,31 @@ and certifies their positivity (absolute monotonicity) against independent
 telescoping.
 
 Domains (checked through the numerics boundary): integers n, r >= 0, not
-bools (eval_log: n >= 1); exact mode takes a rational y > 0 and n + r <=
-EXACT_MODE_CAP, the float and log paths a finite real y > 1, the regime
-where the term-ratio truncation bound applies.
+bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0 with
+n + r <= EXACT_MODE_CAP and C(n+r,2) * max(bits of p, q) <= EXACT_BITS_CAP,
+the float and log paths a finite real y > 1, the regime where the
+term-ratio truncation bound applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, isqrt
 from typing import Optional, Tuple
 
 from mpmath import mp, mpf
 
 from .numerics import (
     DEFAULT_CTX,
+    EXACT_BITS_CAP,
     ComputationError,
+    DomainError,
     ExactRational,
     LogValue,
     PrecisionContext,
     as_real,
+    coprime_fraction,
     require_n,
     require_y,
 )
@@ -61,34 +66,60 @@ class TruncationReport:
 
 def _exact_args(n: int, r: int, y) -> Fraction:
     """The exact-mode domain: integers n, r >= 0 with n + r within the cap
-    and a rational y > 0, returned as a Fraction."""
+    and a rational y = p/q > 0, returned as a Fraction, whose denominator
+    p^C(n+r,2) (or numerator) is predicted to fit EXACT_BITS_CAP."""
     require_n(n)
     require_n(r, name="r")
     require_n(n + r, cap=EXACT_MODE_CAP, cap_code="exact-cap-exceeded", name="n+r")
-    return require_y(y, exact=True)
+    yq = require_y(y, exact=True)
+    y_bits = max(yq.numerator.bit_length(), yq.denominator.bit_length())
+    bits = (n + r) * (n + r - 1) // 2 * y_bits
+    if bits > EXACT_BITS_CAP:
+        raise DomainError(
+            "exact-bits-exceeded",
+            f"n+r={n + r} with a {y_bits}-bit y needs ~{bits} bits, above the cap {EXACT_BITS_CAP}",
+        )
+    return yq
 
 
 def _exact_sum(n: int, r: int, y) -> ExactRational:
     """sum_k C(n,k) y^-C(k+r,2) exactly, for n, r >= 0 and rational y > 0.
 
-    Summed over a common denominator p^C(n+r,2) (y = p/q in lowest terms)
-    so the single final reduction is the only gcd on big integers.
+    Binary splitting (Haible & Papanikolaou 1998) over the term ratio
+    t_{j+1}/t_j = alpha_j/beta_j, alpha_j = (n-j) q^(j+r), beta_j =
+    (j+1) p^(j+r) (y = p/q in lowest terms; the k = n leaf is (1, 1, 1)).
+    The range [a, b) carries P = prod alpha, Q = prod beta and T with
+    T/Q = sum_{k=a}^{b-1} prod_{j=a}^{k-1} alpha_j/beta_j, merged as
+    P = P1 P2, Q = Q1 Q2, T = T1 Q2 + P1 T2; products nothing reads (P on
+    the right spine, Q on the left) are skipped.  Then Q(0, n+1) =
+    n! p^(C(n+r,2) - C(r,2)) and the sum is q^C(r,2) (T // n!) / p^C(n+r,2);
+    the division is exact, as the k-th term of T(0, n+1) is n! C(n,k) times
+    powers of p and q.
+
+    No gcd: for C(n+r,2) > 0 and p > 1 the k = n term of the numerator is
+    q^C(n+r,2) and every other term carries a factor p, so the numerator is
+    prime to p; otherwise the denominator is 1.
     """
     yq = _exact_args(n, r, y)
     p, q = yq.numerator, yq.denominator
-    top_exp = (n + r) * (n + r - 1) // 2  # C(n+r,2), the largest exponent
-    base_exp = r * (r - 1) // 2  # C(r,2), the k=0 exponent
-    total = 0
-    c = 1  # C(n,k)
-    qpow = q**base_exp  # q^C(k+r,2)
-    ppow = p ** (top_exp - base_exp)  # p^(C(n+r,2) - C(k+r,2))
-    for k in range(n + 1):
-        total += c * qpow * ppow
-        if k < n:
-            c = c * (n - k) // (k + 1)
-            qpow *= q ** (k + r)
-            ppow //= p ** (k + r)
-    return Fraction(total, p**top_exp)
+
+    def split(a: int, b: int, need_p: bool, need_q: bool):
+        if b - a == 1:
+            if a == n:
+                return 1, 1, 1
+            beta = (a + 1) * p ** (a + r)
+            return (n - a) * q ** (a + r), beta, beta
+        # halves of equal bit size: the powers up to j sum to ~(j + r)^2/2
+        m = min(max(isqrt(((a + r) ** 2 + (b + r) ** 2) // 2) - r, a + 1), b - 1)
+        P1, Q1, T1 = split(a, m, True, need_q)
+        P2, Q2, T2 = split(m, b, need_p, True)
+        return need_p and P1 * P2, need_q and Q1 * Q2, T1 * Q2 + P1 * T2
+
+    _, _, T = split(0, n + 1, False, False)
+    num, rem = divmod(T, factorial(n))
+    if rem:
+        raise ComputationError("exact-division", f"T(0, {n + 1}) not divisible by {n}!")
+    return coprime_fraction(num * q ** (r * (r - 1) // 2), p ** ((n + r) * (n + r - 1) // 2))
 
 
 def eval_exact(n: int, y) -> ExactRational:

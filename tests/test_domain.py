@@ -16,9 +16,11 @@ from mpmath import mp, mpf
 
 from lacunary_asym import (
     DomainError,
+    PrecisionContext,
     approx_bdm,
     approximation_summary,
     certify_absolute_monotonicity,
+    euler_frobenius,
     eval_exact,
     forward_difference,
     gaussian_fourier,
@@ -103,6 +105,31 @@ CASES = [
     # ran until killed
     pytest.param(
         lambda: integrate_original(5.5, 2), "n-out-of-domain", id="integrate_original(5.5, 2)"
+    ),
+    # raw TypeError / uncoded ValueError
+    pytest.param(lambda: euler_frobenius(2.5), "nu-out-of-domain", id="euler_frobenius(2.5)"),
+    pytest.param(
+        lambda: PrecisionContext(bits=10),
+        "precision-out-of-domain",
+        id="PrecisionContext(bits=10)",
+    ),
+    # exact work past the bit budget: 10^(10^9) built while parsing, or a
+    # predicted 14.9M-bit denominator at (300, 10**100); all used to hang
+    pytest.param(
+        lambda: eval_exact(5, "1e1000000000"),
+        "exact-bits-exceeded",
+        id="eval_exact(5, '1e1000000000')",
+    ),
+    pytest.param(
+        lambda: eval_exact(300, 10**100), "exact-bits-exceeded", id="eval_exact(300, 10**100)"
+    ),
+    pytest.param(
+        ["eval", "--y", "1e1000000000", "--n", "5"], EXIT_USAGE, id="cli eval --y 1e1000000000"
+    ),
+    pytest.param(
+        ["monotone", "--y", "1e1000000000", "--N", "3", "--R", "3"],
+        EXIT_USAGE,
+        id="cli monotone --y 1e1000000000",
     ),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),

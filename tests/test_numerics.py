@@ -4,7 +4,6 @@ import pytest
 from mpmath import mp, mpf
 
 from lacunary_asym import (
-    LogValue,
     PrecisionContext,
     as_real,
 )
@@ -49,14 +48,3 @@ class TestAsReal:
             assert as_real("1.5") == mpf("1.5")
             assert as_real(7) == 7
 
-
-class TestLogValue:
-    def test_zero_flag(self):
-        z = LogValue.zero()
-        assert z.is_zero
-        assert z.exp() == 0
-
-    def test_exp(self, ctx):
-        with ctx.prec():
-            v = LogValue(mp.log(mpf(42)))
-            assert abs(v.exp() - 42) <= 42 * ctx.eps

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -79,6 +79,7 @@ class TestEvalExact:
             eval_exact(4, mpf("2.5"))
         assert exc.value.code == "y-out-of-domain"
 
+    @pytest.mark.usefixtures("time_limit")
     def test_cap(self):
         with pytest.raises(DomainError) as exc:
             eval_exact(EXACT_MODE_CAP + 1, 2)
@@ -97,6 +98,32 @@ class TestEvalExact:
     def test_random_agreement(self, n, p, q):
         y = Fraction(p, q)
         assert eval_exact(n, y) == brute_f(n, y)
+
+    @pytest.mark.parametrize(
+        "n, r, y", [(500, 0, Fraction(2)), (300, 0, Fraction(3, 2)), (40, 7, Fraction(3, 2))]
+    )
+    def test_lowest_terms_without_a_gcd(self, n, r, y):
+        # the kernel builds its Fraction unnormalised; its proof must hold
+        v = pe._exact_sum(n, r, y)
+        assert math.gcd(v.numerator, v.denominator) == 1
+        assert v.denominator == y.numerator ** ((n + r) * (n + r - 1) // 2)
+
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        r=st.integers(min_value=0, max_value=40),
+        p=st.integers(min_value=1, max_value=12),
+        q=st.integers(min_value=1, max_value=12),
+    )
+    @example(n=0, r=1, p=5, q=3)  # n + r <= 1: denominator 1
+    @example(n=1, r=0, p=1, q=4)
+    @example(n=9, r=4, p=1, q=1)  # y = 1
+    @example(n=12, r=5, p=2, q=9)  # y < 1
+    @example(n=40, r=40, p=12, q=11)
+    @settings(max_examples=60)
+    def test_kernel_matches_naive_reference(self, n, r, p, q):
+        y = Fraction(p, q)
+        got, want = pe._exact_sum(n, r, y), brute_diff(n, r, y)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 class TestEvalFloat:
