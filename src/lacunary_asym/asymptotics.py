@@ -25,6 +25,7 @@ evaluates f_n, so it needs an integer n >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -38,9 +39,10 @@ from .numerics import (
     as_real,
     require_eps,
     require_n,
+    require_real,
 )
 from .polyeval import eval_log
-from .solvers import _saddle_roots, solve_r, solve_w
+from .solvers import _saddle_roots, solve_r
 
 _GUARD = 32
 
@@ -131,8 +133,10 @@ def _b_series(n_m: mpf, x: mpf, nu: int, eps: mpf) -> mpc:
 
 
 def b_closed_form(n_m: mpf, x: mpf, nu: int) -> mpc:
-    """b_nu via the Euler-Frobenius closed form P_{nu-1}(-x)/(1+x)^nu."""
-    poly = euler_frobenius(nu - 1)
+    """b_nu via the Euler-Frobenius closed form P_{nu-1}(-x)/(1+x)^nu; real n_m, x, nu >= 1."""
+    n_m = as_real(require_real(n_m, "n-out-of-domain", "n", above=-math.inf))
+    x = as_real(require_real(x, "x-out-of-domain", "x", above=-math.inf))
+    poly = euler_frobenius(require_n(nu, lo=1, code="nu-out-of-domain", name="nu") - 1)
     acc = mpf(0)
     for c in reversed(poly):
         acc = acc * (-x) + c
@@ -143,8 +147,7 @@ def saddle_data(
     n: int, y, K: int = 8, ctx: PrecisionContext = DEFAULT_CTX
 ) -> SaddleData:
     """Saddle root, Taylor data psi0 and a, and coefficients b_3..b_K."""
-    if K < 3:
-        raise DomainError("K-out-of-domain", "need K >= 3")
+    require_n(K, lo=3, code="K-out-of-domain", name="K")
     root = solve_r(n, y, ctx)
     with ctx.prec(_GUARD):
         ym = as_real(y)
@@ -194,7 +197,9 @@ def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
 
 
 def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
-    """theta_3(z, q) = 1 + 2 sum q^{k^2} cos(2kz), truncated below eps."""
+    """theta_3(z, q) = 1 + 2 sum q^{k^2} cos(2kz), real z and q in [0, 1), truncated below eps."""
+    require_real(z, "z-out-of-domain", "z", above=-math.inf)
+    require_real(q, "nome-out-of-domain", "q", above=-math.inf)
     with ctx.prec(_GUARD):
         zm = as_real(z)
         qm = as_real(q)
@@ -204,12 +209,6 @@ def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
         osc, K = _theta_oscillation(zm, qm, epsm)
     with ctx.prec():
         return Theta3Result(+(1 + osc), K)
-
-
-def _rho_at(r: mpf, L: mpf, eps: mpf) -> mpf:
-    """theta_3(pi r/L, e^{-2 pi^2/L}) - 1, summed without the leading 1."""
-    osc, _ = _theta_oscillation(mp.pi * r / L, mp.exp(-2 * mp.pi**2 / L), eps)
-    return osc
 
 
 def _lambert_form(t: mpf, L: mpf) -> mpf:
@@ -223,20 +222,12 @@ def rho(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     Summed directly (without the leading 1) so the tiny value keeps full
     relative accuracy; satisfies |rho| <= 2/(e^{2 pi^2/log y} - 1).
     """
-    root = solve_r(n, y, ctx)
-    with ctx.prec(_GUARD):
-        osc = _rho_at(root.t, mp.log(as_real(y)), ctx.eps)
-    with ctx.prec():
-        return +osc
+    return approximation_summary(n, y, ctx).rho
 
 
 def approx_bdm(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """log of the Lambert-W approximation: -log(w)/2 + (w^2+2w)/(2 log y)."""
-    root = solve_w(n, y, ctx)
-    with ctx.prec(_GUARD):
-        val = _lambert_form(root.t, mp.log(as_real(y)))
-    with ctx.prec():
-        return +val
+    return approximation_summary(n, y, ctx).log_bdm
 
 
 def approximation_summary(
@@ -254,7 +245,7 @@ def approximation_summary(
         w, r = w_root.t, r_root.t
         log_bdm = _lambert_form(w, L)
         log_pref = _lambert_form(r, L)
-        osc = _rho_at(r, L, ctx.eps)
+        osc, _ = _theta_oscillation(mp.pi * r / L, mp.exp(-2 * mp.pi**2 / L), ctx.eps)
     with ctx.prec():
         return ApproxSummary(
             n=n,

@@ -11,8 +11,8 @@ so the guard bits absorb summation-length round-off and the occasional
 ill-conditioned subexpression.  Operations given the same context are
 deterministic: same inputs, bit-identical outputs.
 
-Every public entry point checks its n, y, eps (lambert_w: x) with the
-require_* functions below.  They decide exactly, on the rational value,
+Every public entry point checks its real and integer inputs with the
+require_* functions below.  They decide exactly, on the input's own value,
 raise a coded DomainError and hand the value back unchanged (exact y as a
 Fraction): each layer still applies as_real at its own precision.  Exact
 work is bounded by EXACT_BITS_CAP, checked before any big integer is built.
@@ -64,10 +64,8 @@ class PrecisionContext:
     guard_bits: int = 16
 
     def __post_init__(self) -> None:
-        if self.bits < 53:
-            raise DomainError("precision-out-of-domain", "bits must be at least 53")
-        if self.guard_bits < 8:
-            raise DomainError("precision-out-of-domain", "guard_bits must be at least 8")
+        require_n(self.bits, lo=53, code="precision-out-of-domain", name="bits")
+        require_n(self.guard_bits, lo=8, code="precision-out-of-domain", name="guard_bits")
         if self.guard_bits >= self.bits:
             raise DomainError("precision-out-of-domain", "guard_bits must be smaller than bits")
 
@@ -80,9 +78,6 @@ class PrecisionContext:
     def prec(self, extra: int = 0):
         """Context manager setting mpmath working precision to bits + extra."""
         return mp.workprec(self.bits + extra)
-
-
-DEFAULT_CTX = PrecisionContext()
 
 
 def as_real(value: Real) -> mpf:
@@ -119,36 +114,31 @@ def require_exact_bits(value, name: str = "y"):
     return value
 
 
-def _exact(value, exact: bool) -> Fraction:
-    """The rational value of a real input, or TypeError/ValueError/ArithmeticError.
+def _exact(value, exact: bool):
+    """A real input as a value that compares exactly with 0 and 1, or
+    TypeError/ValueError/ArithmeticError.
 
     Exact mode takes what Fraction takes (not mpf); require_real has bounded
-    a decimal's size first.  Otherwise an mpf goes through its mantissa and
-    exponent, a decimal string through Decimal, and the exponent is clamped
-    to 64 places past the mantissa: that keeps the side of 0 and 1, all a
-    real domain asks, without building 10^(10^9).
+    a decimal's size first.  Otherwise a decimal string becomes a Decimal
+    and an mpf stays as it is: the side of 0 and 1, all a real domain asks,
+    is decided without building 10^(10^9) or a million-digit int.
     """
     if exact or isinstance(value, (numbers.Rational, float)) or (
         isinstance(value, str) and "/" in value
     ):
         return Fraction(value)
-    if hasattr(value, "_mpf_"):  # mpf, and mpmath constants such as mp.e
-        sign, man, exp, _ = value._mpf_
-        if not man and exp:
-            raise OverflowError("inf or nan")
-        man, base = (-1) ** sign * man, 2
-    elif isinstance(value, str):
-        sign, digits, exp = Decimal(value).as_tuple()
-        if not isinstance(exp, int):
+    if isinstance(value, str):
+        value = Decimal(value)
+        if not value.is_finite():
             raise OverflowError("not finite")
-        man, base = int(Decimal((sign, digits, 0))), 10  # int(str) stops at 4300 digits
-    else:
+    elif not hasattr(value, "_mpf_"):  # mpf, and mpmath constants such as mp.e
         raise TypeError(f"not a real number: {type(value).__name__}")
-    exp = max(min(exp, 64), -64 - man.bit_length())
-    return man * Fraction(base) ** exp
+    elif not mp.isfinite(value):
+        raise OverflowError("inf or nan")
+    return value
 
 
-def require_real(value, code: str, name: str, *, above: int = 0, exact: bool = False):
+def require_real(value, code: str, name: str, *, above: float = 0, exact: bool = False):
     """``value`` itself if it is a finite real above ``above``; in exact mode
     its Fraction, if it is a rational above ``above``.  Else DomainError(code)."""
     kind = "rational" if exact else "finite real"
@@ -191,6 +181,10 @@ def require_n(
 def require_eps(eps):
     """eps itself if it is a finite real > 0."""
     return require_real(eps, "eps-out-of-domain", "eps")
+
+
+# Built after the require_* functions that PrecisionContext checks with.
+DEFAULT_CTX = PrecisionContext()
 
 
 @dataclass(frozen=True)

@@ -64,16 +64,20 @@ class TruncationReport:
     relative_tail_bound: mpf
 
 
-def _exact_args(n: int, r: int, y) -> Fraction:
+def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
     """The exact-mode domain: integers n, r >= 0 with n + r within the cap
     and a rational y = p/q > 0, returned as a Fraction, whose denominator
-    p^C(n+r,2) (or numerator) is predicted to fit EXACT_BITS_CAP."""
+    p^C(n+r,2) (or numerator) is predicted to fit EXACT_BITS_CAP; with
+    ``table``, the values at all n' <= n, r' <= r together."""
     require_n(n)
     require_n(r, name="r")
     require_n(n + r, cap=EXACT_MODE_CAP, cap_code="exact-cap-exceeded", name="n+r")
     yq = require_y(y, exact=True)
     y_bits = max(yq.numerator.bit_length(), yq.denominator.bit_length())
     bits = (n + r) * (n + r - 1) // 2 * y_bits
+    if table:  # the min(m, n) - max(0, m - r) + 1 values with n' + r' = m share C(m,2)
+        bits = sum((min(m, n) - max(0, m - r) + 1) * m * (m - 1) // 2 for m in range(n + r + 1))
+        bits *= y_bits
     if bits > EXACT_BITS_CAP:
         raise DomainError(
             "exact-bits-exceeded",
@@ -222,8 +226,10 @@ def certify_absolute_monotonicity(N: int, R: int, y) -> MonotonicityCertificate:
     Every closed-form value is checked exactly against the telescoped
     table T[r][n] = T[r-1][n+1] - T[r-1][n] built from plain evaluations,
     so the certificate rests on two independent computations.
+    Every entry is kept, so the sum over n <= N, r <= R of C(n+r,2) *
+    max(bits of p, q) must fit EXACT_BITS_CAP.
     """
-    yq = _exact_args(N, R, y)
+    yq = _exact_args(N, R, y, table=True)
     row = [eval_exact(m, yq) for m in range(N + R + 1)]
     entries = []
     for r in range(R + 1):

@@ -21,7 +21,8 @@ and flat roundoff must stay below the relative target of the result.
 
 The three integrators share one routine, _integrate, and one domain: an
 integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
-a finite y > 1 and a finite target_eps > 0.  Integrands take the same n, y.
+a finite y > 1 and a finite target_eps > 0.  Integrands take the same n, y
+and a finite real s (psi_exp: and r).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .numerics import (
     as_real,
     require_eps,
     require_n,
+    require_real,
     require_y,
 )
 from .solvers import solve_r
@@ -65,50 +67,55 @@ class QuadratureResult:
     last_halving_diff: mpf  # |T_h - T_2h| of the last step halving, scaled as value
 
 
-def integrand_original(s, n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """exp(-s^2/(2 log y)) (1 + sqrt(y) e^{is})^n, principal-log power.
+def _original(ym: mpf, L: mpf) -> Tuple[mpf, mpf, mpf]:
+    """(log A, beta, c) of the real-axis integrand: A = 1, no phase, c = sqrt(y)."""
+    return mpf(0), mpf(0), mp.sqrt(ym)
 
-    For integer n the principal-branch power agrees with the single-valued
-    algebraic power everywhere, so no branch tracking is needed.
-    """
+
+def _shifted(r: mpf) -> Callable[[mpf, mpf], Tuple[mpf, mpf, mpf]]:
+    """(log A, beta, c) of the integrand on Im s = r, from s -> s + ir:
+    A = e^{r^2/(2L)}, beta = -r/L, c = sqrt(y) e^{-r}."""
+    return lambda ym, L: (r * r / (2 * L), -r / L, mp.sqrt(ym) * mp.exp(-r))
+
+
+def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
+    """The integrand with coefficients(ym, L) at the one point s, evaluated
+    by the quadrature's own row evaluator and rounded to ctx."""
     require_n(n)
     require_y(y)
+    require_real(s, "s-out-of-domain", "s", above=-math.inf)
     with ctx.prec(_GUARD):
-        sm = as_real(s)
         ym = as_real(y)
         L = mp.log(ym)
-        val = mp.exp(
-            -sm * sm / (2 * L) + n * mp.log(1 + mp.sqrt(ym) * mp.expj(sm))
-        )
+        val = _row_factory(L, *coefficients(ym, L), n)(as_real(s), 0, 1)[0]
     with ctx.prec():
         return mpc(+val.real, +val.imag)
 
 
-def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """Shifted-contour integrand exp(psi_n(s)) for a given saddle shift r.
+def integrand_original(s, n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """exp(-s^2/(2 log y)) (1 + sqrt(y) e^{is})^n, the integrand that
+    integrate_original sums, at a finite real s."""
+    return _point(s, n, y, ctx, _original)
 
-    Requires sqrt(y) e^{-r} < 1 so the inner log stays on its principal
-    branch (the base then lives in the open disk of radius < 1 around 1).
+
+def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """Shifted-contour integrand exp(psi_n(s)) for a given saddle shift r:
+    the integrand that integrate_shifted sums when r = r(n).
+
+    Requires sqrt(y) e^{-r} < 1, the saddle hypothesis of exp(psi_n).
     """
-    require_n(n)
-    require_y(y)
-    with ctx.prec(_GUARD):
-        sm = as_real(s)
-        ym = as_real(y)
-        rm = as_real(r)
-        L = mp.log(ym)
-        x = mp.sqrt(ym) * mp.exp(-rm)
+    require_real(r, "r-out-of-domain", "r", above=-math.inf)
+
+    def coefficients(ym, L):
+        amp_log, beta, x = _shifted(as_real(r))(ym, L)
         if not x < 1:
             raise DomainError(
                 "saddle-hypothesis-violated",
                 f"sqrt(y) e^(-r) = {mp.nstr(x, 8)} not < 1",
             )
-        val = mp.exp(
-            -(sm * sm + 2 * mpc(0, 1) * rm * sm - rm * rm) / (2 * L)
-            + n * mp.log(1 + x * mp.expj(sm))
-        )
-    with ctx.prec():
-        return mpc(+val.real, +val.imag)
+        return amp_log, beta, x
+
+    return _point(s, n, y, ctx, coefficients)
 
 
 def _plan(
@@ -227,8 +234,7 @@ def integrate_original(
     """Quadrature of the real-axis representation; value approximates f_n(1/y)."""
 
     def setup(ym, L):
-        mass_log = n * float(mp.log1p(mp.sqrt(ym)))
-        return mass_log, 0.0, lambda ym, L: (mpf(0), mpf(0), mp.sqrt(ym))
+        return n * float(mp.log1p(mp.sqrt(ym))), 0.0, _original
 
     return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
 
@@ -245,8 +251,9 @@ def integrate_shifted(
 
     def setup(ym, L):
         r = solve_r(n, y, ctx).t if n > 0 else mpf(0)
-        mass_log = float(r * r / (2 * L) + n * mp.log1p(mp.sqrt(ym) * mp.exp(-r)))
-        return mass_log, 0.0, lambda ym, L: (r * r / (2 * L), -r / L, mp.sqrt(ym) * mp.exp(-r))
+        coefficients = _shifted(r)
+        amp_log, _, c = coefficients(ym, L)
+        return float(amp_log + n * mp.log1p(c)), 0.0, coefficients
 
     return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
 

@@ -3,7 +3,8 @@ contract (a raw TypeError/ValueError/OverflowError, a NaN, solver-diverged
 for plain invalid input, or a hang), plus the CLI grid cases.
 
 Every library row must raise DomainError with the named code; every CLI row
-must exit 2 with one ``error:`` line and no traceback.  The ``time_limit``
+must exit with the named status (2 for usage, 3 for a domain error) and
+print one ``error:`` line and no traceback.  The ``time_limit``
 fixture turns a reintroduced hang (``integrate_original(5.5, 2)`` used to
 run for hours) into a failure within seconds.
 """
@@ -19,6 +20,7 @@ from lacunary_asym import (
     PrecisionContext,
     approx_bdm,
     approximation_summary,
+    b_closed_form,
     certify_absolute_monotonicity,
     euler_frobenius,
     eval_exact,
@@ -28,13 +30,15 @@ from lacunary_asym import (
     integrate_original,
     integrate_shifted,
     lambert_w,
+    psi_exp,
     rho,
     saddle_data,
     solve_r,
     solve_w,
+    theta3,
 )
 from lacunary_asym import cli
-from lacunary_asym.cli import EXIT_OK, EXIT_USAGE
+from lacunary_asym.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE
 from lacunary_asym.numerics import require_eps, require_n, require_y
 
 INF = math.inf
@@ -130,6 +134,53 @@ CASES = [
         ["monotone", "--y", "1e1000000000", "--N", "3", "--R", "3"],
         EXIT_USAGE,
         id="cli monotone --y 1e1000000000",
+    ),
+    # inputs other than n, y and eps: raw ValueError / TypeError or nan
+    pytest.param(lambda: theta3("x", 0.5), "z-out-of-domain", id="theta3('x', 0.5)"),
+    pytest.param(lambda: theta3(0, "x"), "nome-out-of-domain", id="theta3(0, 'x')"),
+    pytest.param(lambda: theta3(INF, 0.5), "z-out-of-domain", id="theta3(inf, 0.5)"),
+    pytest.param(
+        lambda: integrand_original(INF, 5, 2),
+        "s-out-of-domain",
+        id="integrand_original(inf, 5, 2)",
+    ),
+    pytest.param(lambda: psi_exp(0, 5, 2, INF), "r-out-of-domain", id="psi_exp(0, 5, 2, inf)"),
+    pytest.param(
+        lambda: b_closed_form(10, 0.5, "x"), "nu-out-of-domain", id="b_closed_form(10, 0.5, 'x')"
+    ),
+    pytest.param(
+        lambda: b_closed_form(10, "x", 4), "x-out-of-domain", id="b_closed_form(10, 'x', 4)"
+    ),
+    pytest.param(
+        lambda: b_closed_form("x", 0.5, 4), "n-out-of-domain", id="b_closed_form('x', 0.5, 4)"
+    ),
+    pytest.param(
+        lambda: saddle_data(10, 2, K="x"), "K-out-of-domain", id="saddle_data(10, 2, K='x')"
+    ),
+    pytest.param(
+        lambda: saddle_data(10, 2, K=3.5), "K-out-of-domain", id="saddle_data(10, 2, K=3.5)"
+    ),
+    pytest.param(
+        lambda: PrecisionContext(bits="x"),
+        "precision-out-of-domain",
+        id="PrecisionContext(bits='x')",
+    ),
+    # a million-digit decimal: its mantissa was built into an int, ~25 s
+    pytest.param(
+        lambda: require_y("0." + "1" * 1_000_000),
+        "y-out-of-domain",
+        id="require_y('0.111...', 10^6 digits)",
+    ),
+    # each entry fits the bit budget, all of them together ~5.9e12 bits
+    pytest.param(
+        lambda: certify_absolute_monotonicity(1500, 1500, 2),
+        "exact-bits-exceeded",
+        id="certify_absolute_monotonicity(1500, 1500, 2)",
+    ),
+    pytest.param(
+        ["monotone", "--y", "3/2", "--N", "100", "--R", "100"],
+        EXIT_DOMAIN,
+        id="cli monotone --y 3/2 --N 100 --R 100",
     ),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),

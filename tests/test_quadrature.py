@@ -1,6 +1,7 @@
 """Tests for the Gaussian-weight quadrature oracles.
 
-Oracles: closed-form integrand values at special points, exact rational
+Oracles: closed-form integrand values at special points, the integrand
+written as one principal-log exponential at 300 bits, exact rational
 f_n(1/y) from eval_exact, the Gaussian Fourier transform y^{-k^2/2}, and
 agreement between the two independent contour representations.
 """
@@ -30,6 +31,34 @@ def rel_err(got, want_num, want_den=1, prec=300):
     with mp.workprec(prec):
         want = mpf(want_num) / want_den
         return abs(got - want) / abs(want)
+
+
+def principal_log_integrand(s, n, y, r=0):
+    """exp(-(s^2 + 2irs - r^2)/(2 log y) + n log(1 + sqrt(y) e^{-r} e^{is}))
+    at 300 bits: the integrand on Im s = r (the real axis at r = 0) in the
+    principal-log form, which equals the integer power for integer n."""
+    with mp.workprec(300):
+        s, y, r = (
+            mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mpf(v)
+            for v in (s, y, r)
+        )
+        L = mp.log(y)
+        return mp.exp(
+            -(s * s + 2j * r * s - r * r) / (2 * L)
+            + n * mp.log(1 + mp.sqrt(y) * mp.exp(-r) * mp.expj(s))
+        )
+
+
+@pytest.mark.parametrize("n,y", [(5, 2), (12, Fraction(3, 2)), (30, 4)])
+@pytest.mark.parametrize("s", [Fraction(-7, 3), 0, Fraction(5, 4)])
+def test_integrands_match_principal_log_reference(ctx, n, y, s):
+    r = solve_r(n, y, ctx).t
+    for got, want in (
+        (integrand_original(s, n, y, ctx), principal_log_integrand(s, n, y)),
+        (psi_exp(s, n, y, r, ctx), principal_log_integrand(s, n, y, r)),
+    ):
+        with mp.workprec(300):
+            assert abs(got - want) <= 8 * ctx.eps * abs(want), (n, y, s)
 
 
 class TestIntegrandOriginal:
