@@ -40,6 +40,7 @@ from .numerics import (
     require_eps,
     require_n,
     require_real,
+    require_resolved,
 )
 from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r
@@ -198,7 +199,7 @@ def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
 
 def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
     """theta_3(z, q) = 1 + 2 sum q^{k^2} cos(2kz), real z and q in [0, 1), truncated below eps."""
-    require_real(z, "z-out-of-domain", "z", above=-math.inf)
+    require_resolved(z, "z-out-of-domain", "z", ctx.bits + _GUARD)
     require_real(q, "nome-out-of-domain", "q", above=-math.inf)
     with ctx.prec(_GUARD):
         zm = as_real(z)

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from mpmath import mp, mpf
 
@@ -116,7 +116,7 @@ def _sig_digits(bits: int) -> int:
     return int(bits * math.log10(2)) - 2
 
 
-def _resolve_n_grid(args: argparse.Namespace) -> Tuple[int, ...]:
+def _resolve_n_grid(args: argparse.Namespace, floor: int) -> Tuple[int, ...]:
     has_list = args.n is not None
     has_range = args.n_from is not None or args.n_to is not None
     if has_list and has_range:
@@ -147,7 +147,6 @@ def _resolve_n_grid(args: argparse.Namespace) -> Tuple[int, ...]:
             raise UsageError("empty n range")
     else:
         raise UsageError("one of --n or --n-from/--n-to is required")
-    floor = 0 if args.command == "quadcheck" else 1
     for v in values:
         if v < floor:
             raise UsageError(f"n={v} out of range (minimum {floor})")
@@ -169,85 +168,6 @@ def _resolve_bits(args: argparse.Namespace) -> int:
     if bits < 53:
         raise UsageError("precision must be at least 53 bits")
     return bits
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lacunary-asym",
-        description="High-precision diagnostics for the lacunary family f_n(1/y).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--y", required=True, help="base y (decimal or p/q), y > 1")
-        p.add_argument("--n", help="comma-separated n values")
-        p.add_argument("--n-from", type=int, help="geometric grid start")
-        p.add_argument("--n-to", type=int, help="geometric grid end (inclusive)")
-        p.add_argument(
-            "--n-factor",
-            type=float,
-            default=10.0,
-            help="geometric grid ratio (default 10)",
-        )
-        p.add_argument("--bits", type=int, help="mantissa bits (default 128)")
-        p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=["csv", "json", "table"],
-            default="table",
-        )
-        p.add_argument("--out", dest="output_path", help="write to file instead of stdout")
-
-    for name, helptext in [
-        ("eval", "evaluate log f_n(1/y)"),
-        ("solve", "saddle roots w(n), r(n) and gaps"),
-        ("approx", "approximation ingredients (no evaluation)"),
-        ("compare", "f_n against both approximations"),
-        ("quadcheck", "quadrature oracles vs exact values"),
-    ]:
-        add_common(sub.add_parser(name, help=helptext))
-
-    mono = sub.add_parser("monotone", help="exact difference-positivity certificate")
-    mono.add_argument("--y", required=True, help="base y (decimal or p/q), y > 1")
-    mono.add_argument("--N", type=int, required=True, help="max n")
-    mono.add_argument("--R", type=int, required=True, help="max difference order")
-    mono.add_argument("--bits", type=int, help="mantissa bits (unused; accepted)")
-    mono.add_argument(
-        "--format",
-        dest="output_format",
-        choices=["json"],
-        default="json",
-        help="certificates are always JSON",
-    )
-    mono.add_argument("--out", dest="output_path")
-    return parser
-
-
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    try:
-        y = Fraction(require_exact_bits(args.y))
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational number {args.y!r}") from exc
-    if y <= 1:
-        raise UsageError("y must exceed 1")
-    bits = _resolve_bits(args)
-    monotone = args.command == "monotone"
-    if monotone and (args.N < 0 or args.R < 0):
-        raise UsageError("--N and --R must be non-negative")
-    return RunConfig(
-        command=args.command,
-        y_raw=args.y,
-        y=y,
-        n_values=() if monotone else _resolve_n_grid(args),
-        bits=bits,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        N=getattr(args, "N", None),
-        R=getattr(args, "R", None),
-    )
 
 
 def _eval_cells(config: RunConfig, n: int) -> Dict[str, object]:
@@ -295,21 +215,104 @@ def _quadcheck_cells(config: RunConfig, n: int) -> Dict[str, object]:
     }
 
 
-# command -> (output fields, cells of one n).  A row's y cell is the
-# configured y unless the cells carry their own (the rounded y of a record).
-_ROW_COMMANDS: Dict[str, Tuple[List[str], Callable[[RunConfig, int], Dict[str, object]]]] = {
-    "eval": (["n", "y", "log_f", "terms_used", "omitted_tail_bound"], _eval_cells),
-    "solve": (["n", "y", "w", "r", "w_minus_r", "w2_minus_r2", "w_over_r"], _solve_cells),
-    "approx": (
-        ["n", "y", "w", "r", "log_bdm", "log_thm_prefactor", "theta_factor", "rho"],
+# The one description of every command, read by the parser, parse_config and
+# run(): its help line and, for a row command, its output fields, the cells of
+# one n and the smallest n it takes; monotone has no rows but a certificate.
+# A row's y cell is the configured y unless the cells carry their own (the
+# rounded y of a record).
+class Command(NamedTuple):
+    help: str
+    fields: Sequence[str] = ()
+    cells: Optional[Callable[[RunConfig, int], Dict[str, object]]] = None
+    n_min: int = 1
+
+
+_COMMANDS: Dict[str, Command] = {
+    "eval": Command(
+        "evaluate log f_n(1/y)",
+        ("n", "y", "log_f", "terms_used", "omitted_tail_bound"),
+        _eval_cells,
+    ),
+    "solve": Command(
+        "saddle roots w(n), r(n) and gaps",
+        ("n", "y", "w", "r", "w_minus_r", "w2_minus_r2", "w_over_r"),
+        _solve_cells,
+    ),
+    "approx": Command(
+        "approximation ingredients (no evaluation)",
+        ("n", "y", "w", "r", "log_bdm", "log_thm_prefactor", "theta_factor", "rho"),
         _approx_cells,
     ),
-    "compare": (COMPARE_FIELDS, _compare_cells),
-    "quadcheck": (
-        ["n", "y", "f_exact", "dev_original", "dev_shifted", "dev_cross", "status"],
+    "compare": Command("f_n against both approximations", COMPARE_FIELDS, _compare_cells),
+    "quadcheck": Command(
+        "quadrature oracles vs exact values",
+        ("n", "y", "f_exact", "dev_original", "dev_shifted", "dev_cross", "status"),
         _quadcheck_cells,
+        n_min=0,
     ),
+    "monotone": Command("exact difference-positivity certificate"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lacunary-asym",
+        description="High-precision diagnostics for the lacunary family f_n(1/y).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--y", required=True, help="base y (decimal or p/q), y > 1")
+        if command.cells:
+            p.add_argument("--n", help="comma-separated n values")
+            p.add_argument("--n-from", type=int, help="geometric grid start")
+            p.add_argument("--n-to", type=int, help="geometric grid end (inclusive)")
+            p.add_argument(
+                "--n-factor",
+                type=float,
+                default=10.0,
+                help="geometric grid ratio (default 10)",
+            )
+            formats = ["csv", "json", "table"]
+        else:
+            p.add_argument("--N", type=int, required=True, help="max n")
+            p.add_argument("--R", type=int, required=True, help="max difference order")
+            formats = ["json"]
+        p.add_argument("--bits", type=int, help="mantissa bits of row values (default 128)")
+        p.add_argument("--format", dest="output_format", choices=formats, default=formats[-1])
+        p.add_argument("--out", dest="output_path", help="write to file instead of stdout")
+    return parser
+
+
+# Built once: parse_args leaves a parser as it found it.
+_PARSER = _build_parser()
+
+
+def parse_config(argv: Sequence[str]) -> RunConfig:
+    args = _PARSER.parse_args(argv)
+    try:
+        y = Fraction(require_exact_bits(args.y))
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse rational number {args.y!r}") from exc
+    if y <= 1:
+        raise UsageError("y must exceed 1")
+    bits = _resolve_bits(args)
+    command = _COMMANDS[args.command]
+    if not command.cells and (args.N < 0 or args.R < 0):
+        raise UsageError("--N and --R must be non-negative")
+    return RunConfig(
+        command=args.command,
+        y_raw=args.y,
+        y=y,
+        n_values=_resolve_n_grid(args, command.n_min) if command.cells else (),
+        bits=bits,
+        output_format=args.output_format,
+        output_path=args.output_path,
+        N=getattr(args, "N", None),
+        R=getattr(args, "R", None),
+    )
 
 
 def _format_cell(value: object, sig: int) -> str:
@@ -320,26 +323,14 @@ def _format_cell(value: object, sig: int) -> str:
     return _format_real(value, sig)
 
 
-def _rows(config: RunConfig) -> Tuple[List[str], List[Dict[str, str]]]:
-    fields, cells_of = _ROW_COMMANDS[config.command]
-    sig = _sig_digits(config.bits)
-    with config.ctx.prec():
-        ystr = _format_real(as_real(config.y), sig)
-    rows = []
-    for n in config.n_values:
-        cells = {"n": n, "y": ystr, **cells_of(config, n)}
-        rows.append({f: _format_cell(cells[f], sig) for f in fields})
-    return fields, rows
-
-
-def _emit_csv(fields: List[str], rows: List[Dict[str, str]], stream: TextIO) -> None:
+def _emit_csv(fields: Sequence[str], rows: List[Dict[str, str]], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
         writer.writerow([row[f] for f in fields])
 
 
-def _emit_table(fields: List[str], rows: List[Dict[str, str]], stream: TextIO) -> None:
+def _emit_table(fields: Sequence[str], rows: List[Dict[str, str]], stream: TextIO) -> None:
     widths = {f: max(len(f), *(len(r[f]) for r in rows)) if rows else len(f) for f in fields}
     stream.write("  ".join(f.ljust(widths[f]) for f in fields).rstrip() + "\n")
     for row in rows:
@@ -355,7 +346,7 @@ def _config_echo(config: RunConfig) -> Dict[str, object]:
         "bits": config.bits,
         "format": config.output_format,
     }
-    if config.command == "monotone":
+    if config.N is not None:
         echo["N"] = config.N
         echo["R"] = config.R
     else:
@@ -394,15 +385,22 @@ def _run_monotone(config: RunConfig, stream: TextIO) -> int:
 
 
 def run(config: RunConfig, stream: TextIO) -> int:
-    if config.command == "monotone":
+    command = _COMMANDS[config.command]
+    if not command.cells:
         return _run_monotone(config, stream)
-    fields, rows = _rows(config)
+    sig = _sig_digits(config.bits)
+    with config.ctx.prec():
+        ystr = _format_real(as_real(config.y), sig)
+    rows = []
+    for n in config.n_values:
+        cells = {"n": n, "y": ystr, **command.cells(config, n)}
+        rows.append({f: _format_cell(cells[f], sig) for f in command.fields})
     if config.output_format == "csv":
-        _emit_csv(fields, rows, stream)
+        _emit_csv(command.fields, rows, stream)
     elif config.output_format == "json":
         _emit_json(config, "rows", rows, stream)
     else:
-        _emit_table(fields, rows, stream)
+        _emit_table(command.fields, rows, stream)
     if any(row.get("status") == "FAIL" for row in rows):
         return EXIT_TOLERANCE
     return EXIT_OK

@@ -20,6 +20,7 @@ work is bounded by EXACT_BITS_CAP, checked before any big integer is built.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal
@@ -151,6 +152,19 @@ def require_real(value, code: str, name: str, *, above: float = 0, exact: bool =
     if not q > above:
         raise DomainError(code, f"{name} must be a {kind} > {above}, got {value!r}")
     return q if exact else value
+
+
+def require_resolved(value, code: str, name: str, bits: int):
+    """``value`` itself if it is a finite real with |value| < 2^bits, else
+    DomainError(code).  ``bits`` is the working precision at which the value
+    enters expj, cos or exp.  From 2^bits on, bits-bit numbers lie 2 or more
+    apart, so rounding the value alone can turn a phase e^{i value} by a
+    radian: the result would keep no correct digit, while mpmath's argument
+    reduction still spends time that grows with the exponent of the value."""
+    require_real(value, code, name, above=-math.inf)
+    if not abs(_exact(value, False)) < 2**bits:
+        raise DomainError(code, f"|{name}| must be below 2^{bits}, got {value!r}")
+    return value
 
 
 def require_y(y, *, exact: bool = False):

@@ -16,14 +16,15 @@ Domains (checked through the numerics boundary): integers n, r >= 0, not
 bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0 with
 n + r <= EXACT_MODE_CAP and C(n+r,2) * max(bits of p, q) <= EXACT_BITS_CAP,
 the float and log paths a finite real y > 1, the regime where the
-term-ratio truncation bound applies.
+term-ratio truncation bound applies, and a walk predicted to fit
+WALK_TERMS_CAP terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import ceil, factorial, isqrt, log, sqrt
 from typing import Optional, Tuple
 
 from mpmath import mp, mpf
@@ -51,6 +52,12 @@ EXACT_MODE_CAP = 3000
 # context tolerance even when the truncated sum runs long (y barely above 1).
 # No log-sum-exp is needed: mpf exponents are unbounded.
 _LOOP_GUARD = 32
+
+# Most terms the linear walk may be predicted to take: its work budget, about
+# 9 s at the ~9 us per term of the mpf walk on a 2-vCPU x86-64 box.  The
+# largest prediction in the tests and benchmark workloads is 17,584
+# (n = 1e5, y = 1.0001).
+WALK_TERMS_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,27 @@ def eval_exact(n: int, y) -> ExactRational:
     return _exact_sum(n, 0, y)
 
 
+def _walk_terms(n: int, L: float, tol_bits: int) -> int:
+    """Terms a truncated walk over t_k = C(n,k) e^{-L C(k,2)} is predicted to
+    take, in float arithmetic: up to the peak k*, the first k >= 1 with
+    log(n-k) - log(k+1) <= L k (the term ratio no longer above 1, so k* <=
+    log(n+1)/L), then sqrt(2 tol_bits ln 2 / L) more, the distance past the
+    peak over which e^{-L j^2/2} falls to 2^-tol_bits.  At most n + 1, and n + 1
+    when L is 0 (y rounded to 1).  On y in {1+1e-2 .. 1+1e-6, 3/2, 2, 100},
+    n in {10 .. 1e5} it is at least terms_used and at most 1.8 times it.
+    """
+    if not L > 0:
+        return n + 1
+    lo, hi = 1, min(n, int(log(n + 1) / L) + 1)
+    while lo < hi:
+        k = (lo + hi) // 2
+        if log(n - k) - log(k + 1) > L * k:
+            lo = k + 1
+        else:
+            hi = k
+    return min(n + 1, lo + 1 + ceil(sqrt(2 * tol_bits * log(2) / L)))
+
+
 def _term_walk(
     n: int, y, ctx: PrecisionContext, truncate: bool, n_min: int = 0
 ) -> Tuple[mpf, TruncationReport]:
@@ -141,12 +169,23 @@ def _term_walk(
     geometrically dominated by t_k * rho/(1 - rho); with ``truncate`` the
     walk stops at the first k where that bound is within eps of the
     running total.  The sum comes back unrounded, the report rounded.
+    Walks predicted (_walk_terms; n + 1 untruncated) to take more than
+    WALK_TERMS_CAP terms are refused before the first.
     """
     require_n(n, lo=n_min)
     require_y(y)
     with ctx.prec(_LOOP_GUARD):
+        ym = as_real(y)
+        L = mp.log(ym)
+        terms = _walk_terms(n, float(L), ctx.bits - ctx.guard_bits) if truncate else n + 1
+        if terms > WALK_TERMS_CAP:
+            raise DomainError(
+                "walk-terms-exceeded",
+                f"n={n} at log y = {mp.nstr(L, 6)} needs ~{terms} terms, "
+                f"above the cap {WALK_TERMS_CAP}",
+            )
         eps = ctx.eps
-        yinv = 1 / as_real(y)
+        yinv = 1 / ym
         ypow = mpf(1)  # y^-k
         term = mpf(1)  # C(n,k) y^-C(k,2)
         total = mpf(0)

@@ -22,7 +22,7 @@ and flat roundoff must stay below the relative target of the result.
 The three integrators share one routine, _integrate, and one domain: an
 integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
 a finite y > 1 and a finite target_eps > 0.  Integrands take the same n, y
-and a finite real s (psi_exp: and r).
+and a finite real s (psi_exp: and r) of magnitude below 2^(working bits).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .numerics import (
     as_real,
     require_eps,
     require_n,
-    require_real,
+    require_resolved,
     require_y,
 )
 from .solvers import solve_r
@@ -83,7 +83,7 @@ def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
     by the quadrature's own row evaluator and rounded to ctx."""
     require_n(n)
     require_y(y)
-    require_real(s, "s-out-of-domain", "s", above=-math.inf)
+    require_resolved(s, "s-out-of-domain", "s", ctx.bits + _GUARD)
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
@@ -104,7 +104,7 @@ def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
 
     Requires sqrt(y) e^{-r} < 1, the saddle hypothesis of exp(psi_n).
     """
-    require_real(r, "r-out-of-domain", "r", above=-math.inf)
+    require_resolved(r, "r-out-of-domain", "r", ctx.bits + _GUARD)
 
     def coefficients(ym, L):
         amp_log, beta, x = _shifted(as_real(r))(ym, L)

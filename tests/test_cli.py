@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end: parsing, exit codes,
 output formats, determinism, and the monotonicity certificate."""
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,6 +107,29 @@ class TestParsing:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             parse_config(["frobnicate", "--y", "2"])
+
+
+class TestCommandTable:
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("ArgumentParser built again")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert parse_config(["eval", "--y", "2", "--n", "3,5"]).n_values == (3, 5)
+        assert cli.main(["monotone", "--y", "2", "--N", "1", "--R", "1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["certificate"]["N"] == 1
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, command in cli._COMMANDS.items():
+            assert re.search(rf"^ +{name} +{re.escape(command.help)}$", out, re.M), name
+
+    def test_monotone_accepts_and_echoes_bits(self):
+        _, out = render(["monotone", "--y", "2", "--N", "1", "--R", "1", "--bits", "64"])
+        assert json.loads(out)["config"]["bits"] == 64
 
 
 class TestBitsResolution:

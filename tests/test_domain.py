@@ -24,6 +24,8 @@ from lacunary_asym import (
     certify_absolute_monotonicity,
     euler_frobenius,
     eval_exact,
+    eval_float,
+    eval_log,
     forward_difference,
     gaussian_fourier,
     integrand_original,
@@ -181,6 +183,41 @@ CASES = [
         ["monotone", "--y", "3/2", "--N", "100", "--R", "100"],
         EXIT_DOMAIN,
         id="cli monotone --y 3/2 --N 100 --R 100",
+    ),
+    # a term walk of ~4e8 terms, about an hour
+    pytest.param(
+        lambda: eval_log(10**9, "1.000000001"),
+        "walk-terms-exceeded",
+        id="eval_log(10**9, '1.000000001')",
+    ),
+    pytest.param(
+        lambda: eval_float(10**9, "1.000000001"),
+        "walk-terms-exceeded",
+        id="eval_float(10**9, '1.000000001')",
+    ),
+    pytest.param(
+        ["eval", "--y", "1.000000001", "--n", "1000000000"],
+        EXIT_DOMAIN,
+        id="cli eval --y 1.000000001 --n 1000000000",
+    ),
+    pytest.param(
+        ["compare", "--y", "1.000000001", "--n", "1000000000"],
+        EXIT_DOMAIN,
+        id="cli compare --y 1.000000001 --n 1000000000",
+    ),
+    # s, r and z far past their working precision: over 60 s of argument reduction
+    pytest.param(
+        lambda: integrand_original("1e100000", 5, 2),
+        "s-out-of-domain",
+        id="integrand_original('1e100000', 5, 2)",
+    ),
+    pytest.param(
+        lambda: psi_exp(0, 5, 2, "1e100000"),
+        "r-out-of-domain",
+        id="psi_exp(0, 5, 2, '1e100000')",
+    ),
+    pytest.param(
+        lambda: theta3("1e100000", 0.5), "z-out-of-domain", id="theta3('1e100000', 0.5)"
     ),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),

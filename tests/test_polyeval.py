@@ -19,6 +19,7 @@ from lacunary_asym import (
     ComputationError,
     EXACT_MODE_CAP,
     PrecisionContext,
+    WALK_TERMS_CAP,
     as_real,
     certify_absolute_monotonicity,
     eval_exact,
@@ -283,6 +284,32 @@ class TestEvalLog:
         with pytest.raises(DomainError) as exc:
             eval_log(10, mp.inf, ctx)
         assert exc.value.code == "y-out-of-domain"
+
+
+class TestWalkBudget:
+    @pytest.mark.parametrize(
+        "y", ["1.01", "1.001", "1.0001", "1.00001", "1.000001", "3/2", "2", "100"]
+    )
+    def test_prediction_covers_the_walk(self, ctx, y):
+        # eval_float and eval_log share the walk, so one report serves both
+        with ctx.prec(pe._LOOP_GUARD):
+            L = float(mp.log(as_real(Fraction(y))))
+        for n in (10, 100, 1000, 10**4, 10**5):
+            _, report = eval_float(n, Fraction(y), ctx)
+            predicted = pe._walk_terms(n, L, ctx.bits - ctx.guard_bits)
+            assert report.terms_used <= predicted <= 2 * report.terms_used
+
+    def test_y_rounded_to_1_predicts_every_term(self, ctx):
+        assert pe._walk_terms(10**7, 0.0, 112) == 10**7 + 1
+        with pytest.raises(DomainError) as exc:
+            eval_log(10**7, "1." + "0" * 60 + "1", ctx)
+        assert exc.value.code == "walk-terms-exceeded"
+
+    def test_untruncated_walk_counts_every_term(self, ctx):
+        eval_log(1000, 2, ctx, truncate=False)
+        with pytest.raises(DomainError) as exc:
+            eval_log(WALK_TERMS_CAP, 2, ctx, truncate=False)
+        assert exc.value.code == "walk-terms-exceeded"
 
 
 def reference_log_f(n: int, y: Fraction, bits: int = 256) -> mpf:
