@@ -38,6 +38,7 @@ from .numerics import (
     LacunaryError,
     PrecisionContext,
     as_real,
+    brief,
     require_exact_bits,
     require_n,
 )
@@ -125,7 +126,7 @@ def _resolve_n_grid(args: argparse.Namespace, floor: int) -> Tuple[int, ...]:
         try:
             values = [int(part) for part in args.n.split(",") if part.strip()]
         except ValueError as exc:
-            raise UsageError(f"bad --n list {args.n!r}") from exc
+            raise UsageError(f"bad --n list {brief(args.n)}") from exc
         if not values:
             raise UsageError("--n list is empty")
     elif has_range:
@@ -161,7 +162,7 @@ def _resolve_bits(args: argparse.Namespace) -> int:
             bits = int(os.environ[BITS_ENV_VAR])
         except ValueError as exc:
             raise UsageError(
-                f"bad {BITS_ENV_VAR} value {os.environ[BITS_ENV_VAR]!r}"
+                f"bad {BITS_ENV_VAR} value {brief(os.environ[BITS_ENV_VAR])}"
             ) from exc
     else:
         bits = DEFAULT_BITS
@@ -295,7 +296,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational number {args.y!r}") from exc
+        raise UsageError(f"cannot parse rational number {brief(args.y)}") from exc
     if y <= 1:
         raise UsageError("y must exceed 1")
     bits = _resolve_bits(args)

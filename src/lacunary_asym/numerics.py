@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -82,9 +82,15 @@ class PrecisionContext:
 
 
 def as_real(value: Real) -> mpf:
-    """Convert to mpf at the currently active mpmath precision."""
+    """Convert to mpf at the currently active mpmath precision.
+
+    mpf parses all digits of a decimal string into one int, which Python
+    refuses past 4300 digits: a longer string is first rounded, as a
+    Decimal, to 20 digits more than the precision carries."""
     if isinstance(value, Fraction):
         return mpf(value.numerator) / value.denominator
+    if isinstance(value, str) and len(value) > 4000:
+        value = str(Context(prec=mp.dps + 20).plus(Decimal(value)))
     return mpf(value)
 
 
@@ -93,6 +99,20 @@ def coprime_fraction(num: int, den: int) -> Fraction:
     if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
         return Fraction._from_coprime_ints(num, den)
     return Fraction(num, den, _normalize=False)
+
+
+def brief(value) -> str:
+    """repr(value) for an error message, cut to its first 40 characters
+    plus its length.  An int of more than 120 bits is described by its bit
+    length, never turned into digits; a repr that Python refuses (an int
+    part past sys.get_int_max_str_digits()) by its type."""
+    if isinstance(value, int) and value.bit_length() > 120:
+        return f"<{value.bit_length()}-bit int>"
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 40 else f"{text[:40]}... <{len(text)} chars>"
 
 
 def require_exact_bits(value, name: str = "y"):
@@ -148,9 +168,9 @@ def require_real(value, code: str, name: str, *, above: float = 0, exact: bool =
     try:
         q = _exact(value, exact)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise DomainError(code, f"{name} must be a {kind}, got {value!r}") from exc
+        raise DomainError(code, f"{name} must be a {kind}, got {brief(value)}") from exc
     if not q > above:
-        raise DomainError(code, f"{name} must be a {kind} > {above}, got {value!r}")
+        raise DomainError(code, f"{name} must be a {kind} > {above}, got {brief(value)}")
     return q if exact else value
 
 
@@ -163,7 +183,7 @@ def require_resolved(value, code: str, name: str, bits: int):
     reduction still spends time that grows with the exponent of the value."""
     require_real(value, code, name, above=-math.inf)
     if not abs(_exact(value, False)) < 2**bits:
-        raise DomainError(code, f"|{name}| must be below 2^{bits}, got {value!r}")
+        raise DomainError(code, f"|{name}| must be below 2^{bits}, got {brief(value)}")
     return value
 
 
@@ -186,9 +206,9 @@ def require_n(
     DomainError(code); the cap error is coded ``cap_code``.  The solvers'
     real n goes through require_real."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < lo:
-        raise DomainError(code, f"{name} must be an integer >= {lo}, got {n!r}")
+        raise DomainError(code, f"{name} must be an integer >= {lo}, got {brief(n)}")
     if cap is not None and n > cap:
-        raise DomainError(cap_code, f"{name}={n} above the cap {cap}")
+        raise DomainError(cap_code, f"{name}={brief(n)} above the cap {cap}")
     return n
 
 

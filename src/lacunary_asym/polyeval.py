@@ -4,8 +4,10 @@
 
 at z = 1/y: exactly over the rationals, and in high-precision floating
 point by one linear term walk with adaptive truncation of the k-sum, whose
-log gives log f_n (mpf exponents are unbounded).  Also computes the
-iterated forward differences in n,
+log gives log f_n (mpf exponents are unbounded).  The walk runs in
+fixed-point Python integers, 0.8-1.6 us per term on a 2-vCPU x86-64 box
+(CPython 3.11, pure-Python mpmath), and reports a rigorous bound on its
+own rounding error.  Also computes the iterated forward differences in n,
 
     D^r f_n(1/y) = sum_{k=0}^{n} C(n,k) * y^{-C(k+r,2)},
 
@@ -38,6 +40,7 @@ from .numerics import (
     LogValue,
     PrecisionContext,
     as_real,
+    brief,
     coprime_fraction,
     require_n,
     require_y,
@@ -47,28 +50,31 @@ from .numerics import (
 # range; float/log modes take over.
 EXACT_MODE_CAP = 3000
 
-# Extra mantissa bits for the linear term walk behind both the float and the
-# log path, so the drift of its incremental recurrences stays far below the
-# context tolerance even when the truncated sum runs long (y barely above 1).
-# No log-sum-exp is needed: mpf exponents are unbounded.
+# Extra bits for the fixed-point term walk behind both the float and the log
+# path, so the drift of y^-k (at most 4 C(k,2) 2^-P on term k, P = bits + 32)
+# stays below the context tolerance even when the truncated sum runs long (y
+# barely above 1): 2^-127 at bits = 128 after the 50,684 terms of n = 1e5,
+# y = 1 + 1e-6.  A term costs 0.8-1.6 us at bits = 128 on a 2-vCPU x86-64 box.
 _LOOP_GUARD = 32
 
 # Most terms the linear walk may be predicted to take: its work budget, about
-# 9 s at the ~9 us per term of the mpf walk on a 2-vCPU x86-64 box.  The
-# largest prediction in the tests and benchmark workloads is 17,584
-# (n = 1e5, y = 1.0001).
+# 1 s at the ~1 us per term of the fixed-point walk on a 2-vCPU x86-64 box.
+# The largest prediction in the benchmark workloads is 17,584 (n = 1e5,
+# y = 1.0001), in the tests 71,855 (n = 1e5, y = 1 + 1e-6, bits = 400).
 WALK_TERMS_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """How much of the k-sum was evaluated and a bound on what was dropped,
-    absolute and relative to the sum (both 0 when nothing was dropped)."""
+    """How much of the k-sum was evaluated, a bound on what was dropped,
+    absolute and relative to the sum (both 0 when nothing was dropped), and
+    a bound on the walk's own rounding error relative to the sum."""
 
     terms_used: int
     first_omitted_index: Optional[int]
     omitted_tail_bound: mpf
     relative_tail_bound: mpf
+    rounding_bound: mpf
 
 
 def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
@@ -162,48 +168,92 @@ def _walk_terms(n: int, L: float, tol_bits: int) -> int:
 def _term_walk(
     n: int, y, ctx: PrecisionContext, truncate: bool, n_min: int = 0
 ) -> Tuple[mpf, TruncationReport]:
-    """Linear sum of t_k = C(n,k) y^{-C(k,2)} from k = 0, at ctx.prec(_LOOP_GUARD).
+    """Linear sum of t_k = C(n,k) y^{-C(k,2)} from k = 0, in P-bit fixed
+    point, P = ctx.bits + _LOOP_GUARD.
 
     Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
     decreases strictly in k.  Once it drops below 1 the tail is
     geometrically dominated by t_k * rho/(1 - rho); with ``truncate`` the
-    walk stops at the first k where that bound is within eps of the
-    running total.  The sum comes back unrounded, the report rounded.
-    Walks predicted (_walk_terms; n + 1 untruncated) to take more than
-    WALK_TERMS_CAP terms are refused before the first.
+    walk stops at the first k where that bound is within eps = 2^-tol of
+    the running total.  The sum comes back as a P-bit mpf, the report
+    rounded.  Walks predicted (_walk_terms; n + 1 untruncated) to take more
+    than WALK_TERMS_CAP terms are refused before the first.
+
+    term and total are Python ints times one shared 2^scale; total stays
+    at least 2^(2P) (once it passes 2^(3P), both shift right until it has
+    2P + 1 bits), so the last kept term still has about bits + 80 bits.
+    y^-k = ypm 2^-sh, each step multiplying the P-bit mantissa ypm by that
+    of the P-bit mpf 1/y and rounding to nearest.  The ratio is rho =
+    num / ((k+1) 2^sh), num = (n-k) ypm; rho < 1 and the stop test are
+    exact integer comparisons that only shift right by sh, which grows
+    like k log2 y.
+
+    The rounding bound, relative to the sum of the kept terms: y^-j drifts
+    by at most 4 j 2^-P (1/y is at most three roundings off, each step one
+    more), so t_k by 4 C(k,2) 2^-P; the final mpf rounds once more, 2^-P.
+    Each floor of a term or a shift loses under one unit, at most 2^-2P of
+    the total.  Up to the peak such a unit is at most (k+1) 2^-2P of the
+    term; past it the ratios are below 1, so it reaches each later term as
+    under one unit.  That sums to 2^-2P ((K+2)^2/2 + shifts (K+2)) for K
+    the last index kept.  Second-order terms stay under the 2^-16 slack.
     """
     require_n(n, lo=n_min)
     require_y(y)
+    P = ctx.bits + _LOOP_GUARD
+    tol = ctx.bits - ctx.guard_bits
     with ctx.prec(_LOOP_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
-        terms = _walk_terms(n, float(L), ctx.bits - ctx.guard_bits) if truncate else n + 1
+        terms = _walk_terms(n, float(L), tol) if truncate else n + 1
         if terms > WALK_TERMS_CAP:
             raise DomainError(
                 "walk-terms-exceeded",
-                f"n={n} at log y = {mp.nstr(L, 6)} needs ~{terms} terms, "
+                f"n={brief(n)} at log y = {mp.nstr(L, 6)} needs ~{brief(terms)} terms, "
                 f"above the cap {WALK_TERMS_CAP}",
             )
-        eps = ctx.eps
-        yinv = 1 / ym
-        ypow = mpf(1)  # y^-k
-        term = mpf(1)  # C(n,k) y^-C(k,2)
-        total = mpf(0)
-        for k in range(n):
-            total += term
-            ratio = (mpf(n - k) / (k + 1)) * ypow
-            if truncate and ratio < 1:
-                bound = term * ratio / (1 - ratio)
-                if bound <= eps * total:
-                    omitted = k + 1
-                    break
-            term *= ratio
-            ypow *= yinv
-        else:
-            total += term  # the k = n term
-            omitted, bound = None, mpf(0)
+        _, yman, yexp, ybc = (1 / ym)._mpf_
+    yinv, e0 = yman << (P - ybc), yexp - (P - ybc)  # 1/y = yinv 2^e0
+    ypm, sh = 1 << (P - 1), P - 1  # y^-k = ypm 2^-sh
+    term, total, scale, shifts = 1 << (2 * P), 0, -2 * P, 0  # value = int 2^scale
+    top = 1 << (3 * P)
+    omitted = None
+    for k in range(n):
+        total += term
+        num = (n - k) * ypm
+        tn = term * num
+        if truncate and num >> sh <= k:  # rho < 1
+            # term rho/(1 - rho) <= total 2^-tol, i.e. (tn 2^tol + total num) 2^-sh
+            # <= total (k+1), with the ceiling of the left side: no shift left by sh
+            if -(-((tn << tol) + total * num) >> sh) <= total * (k + 1):
+                omitted = k + 1
+                break
+        term = (tn >> sh) // (k + 1)
+        if total >= top:  # back to 2P bits: a ratio near n may add far more than P
+            d = total.bit_length() - 2 * P
+            term >>= d
+            total >>= d
+            scale += d
+            shifts += 1
+        prod = ypm * yinv
+        b = prod.bit_length() - P
+        ypm = ((prod >> (b - 1)) + 1) >> 1
+        sh -= e0 + b
+    else:
+        total += term  # the k = n term
+    used = omitted or n + 1
+    K = used - 1
+    # twice the rounding bound in units of 2^-2P
+    units = (1 << (P + 1)) * (1 + 2 * K * (K - 1)) + (K + 2) * (K + 2 + 2 * shifts)
+    with ctx.prec(_LOOP_GUARD):
+        total_m = mpf((total, scale))
+        bound = mpf(0)
+        if omitted:
+            ratio = mpf((num, -sh)) / (k + 1)
+            bound = mpf((term, scale)) * ratio / (1 - ratio)
     with ctx.prec():
-        return total, TruncationReport(omitted or n + 1, omitted, +bound, bound / total)
+        rounding = mpf((units * ((1 << 16) + 1), -2 * P - 17))
+        report = TruncationReport(used, omitted, +bound, bound / total_m, rounding)
+    return total_m, report
 
 
 def eval_float(
@@ -212,7 +262,8 @@ def eval_float(
     """f_n(1/y) as a high-precision real, k-sum truncated by the ratio test.
 
     The report carries the rigorous bound t_k * rho/(1 - rho) on the
-    dropped tail, absolute and relative to f.
+    dropped tail, absolute and relative to f, and one on the walk's
+    rounding error relative to f, before the final rounding to ctx.bits.
     """
     total, report = _term_walk(n, y, ctx, truncate=True)
     with ctx.prec():

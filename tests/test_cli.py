@@ -147,9 +147,11 @@ class TestBitsResolution:
         assert cfg.bits == 160
 
     def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv(cli.BITS_ENV_VAR, "lots")
-        with pytest.raises(UsageError, match=cli.BITS_ENV_VAR):
-            parse_config(["eval", "--y", "2", "--n", "3"])
+        for bad in ("lots", "9" * 100_000):  # the echo of the second is cut short
+            monkeypatch.setenv(cli.BITS_ENV_VAR, bad)
+            with pytest.raises(UsageError, match=cli.BITS_ENV_VAR) as exc:
+                parse_config(["eval", "--y", "2", "--n", "3"])
+            assert len(str(exc.value)) < 200
 
 
 class TestFormatReal:

@@ -10,6 +10,7 @@ run for hours) into a failure within seconds.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from lacunary_asym import (
 )
 from lacunary_asym import cli
 from lacunary_asym.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE
-from lacunary_asym.numerics import require_eps, require_n, require_y
+from lacunary_asym.numerics import as_real, require_eps, require_n, require_y
 
 INF = math.inf
 
@@ -219,6 +220,31 @@ CASES = [
     pytest.param(
         lambda: theta3("1e100000", 0.5), "z-out-of-domain", id="theta3('1e100000', 0.5)"
     ),
+    # a repr of over 4300 digits in the message: raw ValueError
+    pytest.param(
+        lambda: eval_log(-(10**5000), 2), "n-out-of-domain", id="eval_log(-10**5000, 2)"
+    ),
+    pytest.param(
+        lambda: eval_log(5, -(10**5000)), "y-out-of-domain", id="eval_log(5, -10**5000)"
+    ),
+    pytest.param(
+        lambda: eval_exact(10**5000, 2), "exact-cap-exceeded", id="eval_exact(10**5000, 2)"
+    ),
+    pytest.param(
+        lambda: eval_log(5, Fraction(-(10**5000), 3)),
+        "y-out-of-domain",
+        id="eval_log(5, Fraction(-10**5000, 3))",
+    ),
+    pytest.param(
+        ["eval", "--y", "0." + "1" * 1_000_000, "--n", "3"],
+        EXIT_USAGE,
+        id="cli eval --y 0.111... (10^6 digits)",
+    ),
+    pytest.param(
+        ["eval", "--y", "2", "--n", "1" * 100_000],
+        EXIT_USAGE,
+        id="cli eval --n 111... (10^5 digits)",
+    ),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),
     pytest.param(grid("--n-factor", "inf"), EXIT_USAGE, id="cli --n-factor inf"),
@@ -243,15 +269,37 @@ CASES = [
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("case, expected", CASES)
 def test_rejected_with_a_code(case, expected, capsys):
+    # messages echo a bounded part of the input: one used to be 10^6 characters
     if callable(case):
         with pytest.raises(DomainError) as exc:
             case()
         assert exc.value.code == expected
+        assert len(str(exc.value)) < 200
     else:
         assert cli.main(case) == expected
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert len(err) < 200
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_long_decimal_y_is_rounded_not_parsed_whole():
+    # mpf("1.000...01") with 5000 zeros raised a raw ValueError (4300-digit limit)
+    near_one = "1." + "0" * 5000 + "1"
+    assert eval_float(3, near_one)[0] == 8  # y rounds to 1 at any working precision
+    with mp.workprec(100):
+        assert as_real("0." + "3" * 10**6) == mpf(1) / 3
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("evaluate", [eval_log, eval_float])
+def test_huge_y_returns_at_once(evaluate):
+    # y^-k has a 332,000-bit exponent per step: the walk must not build it
+    start = time.perf_counter()
+    _, report = evaluate(5, "1e100000")
+    assert time.perf_counter() - start < 0.5
+    assert report.terms_used == 2
 
 
 @pytest.mark.usefixtures("time_limit")

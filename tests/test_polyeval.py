@@ -6,6 +6,7 @@ denominator trick in eval_exact), exact binomial telescoping, and
 frozen hand-computed rationals.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -312,6 +313,62 @@ class TestWalkBudget:
         assert exc.value.code == "walk-terms-exceeded"
 
 
+def reference_walk(n: int, y, ctx: PrecisionContext, truncate: bool):
+    """The mpf term walk that the fixed-point one replaced: the same k = 0
+    start, term ratio and stopping test, every step rounded at
+    ctx.bits + _LOOP_GUARD bits.  Returns the sum, terms_used,
+    first_omitted_index and omitted_tail_bound, all unrounded."""
+    with ctx.prec(pe._LOOP_GUARD):
+        ym = as_real(y)
+        eps = ctx.eps
+        yinv = 1 / ym
+        ypow = mpf(1)  # y^-k
+        term = mpf(1)  # C(n,k) y^-C(k,2)
+        total = mpf(0)
+        for k in range(n):
+            total += term
+            ratio = (mpf(n - k) / (k + 1)) * ypow
+            if truncate and ratio < 1:
+                bound = term * ratio / (1 - ratio)
+                if bound <= eps * total:
+                    return total, k + 1, k + 1, bound
+            term *= ratio
+            ypow *= yinv
+        return total + term, n + 1, None, mpf(0)
+
+
+WALK_YS = ["1.01", "1.001", "1.0001", "1.00001", "1.000001", Fraction(3, 2), 2, 100, "1e1000"]
+WALK_NS = [1, 10, 100, 1000, 10**4, 10**5]
+# An untruncated reference walk over 10^5 + 1 terms takes ~1.5 s; n <= 10^4
+# covers the untruncated walk past the peak down to terms that floor to 0.
+WALK_CASES = [(n, t) for n in WALK_NS for t in (True, False) if t or n < 10**5]
+
+
+def check_against_reference_walk(n: int, y, ctx: PrecisionContext, truncate: bool):
+    total, rep = pe._term_walk(n, y, ctx, truncate)
+    ref, used, omitted, bound = reference_walk(n, y, ctx, truncate)
+    assert (rep.terms_used, rep.first_omitted_index) == (used, omitted)
+    with ctx.prec():
+        assert rep.omitted_tail_bound == +bound
+    P = ctx.bits + pe._LOOP_GUARD
+    with mp.workprec(2 * P):
+        assert abs(total - ref) / ref <= rep.rounding_bound + mpf(2) ** -(ctx.bits + P // 2)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 400])
+@pytest.mark.parametrize("n, truncate", WALK_CASES)
+@pytest.mark.parametrize("y", WALK_YS)
+def test_fixed_point_walk_matches_mpf_walk(y, n, truncate, bits):
+    check_against_reference_walk(n, y, PrecisionContext(bits=bits), truncate)
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_fixed_point_walk_for_huge_n(ctx):
+    # the first ratios are near n = 2^2990: rescaling by P bits at a time
+    # let the integers grow by thousands of bits a term (8.6 s at n = 10^600)
+    check_against_reference_walk(10**900, 2, ctx, truncate=True)
+
+
 def reference_log_f(n: int, y: Fraction, bits: int = 256) -> mpf:
     """log f_n(1/y) from exp(log C(n,k) - C(k,2) log y) term by term.
 
@@ -336,6 +393,34 @@ def reference_log_f(n: int, y: Fraction, bits: int = 256) -> mpf:
         return peak + mp.log(mp.fsum(mp.exp(lt - peak) for lt in logs))
 
 
+@functools.lru_cache(maxsize=None)
+def reference_log_f_400(n: int, y) -> mpf:
+    return reference_log_f(n, y, bits=400)
+
+
+# Leaves out the near-one walks whose 400-bit reference sums 6,000 to 72,000
+# terms, 1 to 8 s each; TestEvalLogReference checks (10^5, 1.0001) against
+# a 256-bit one.
+LONG_WALKS = {(n, y) for n in (10**4, 10**5) for y in ("1.0001", "1.00001", "1.000001")}
+REFERENCE_CASES = [
+    (y, n, t) for y in WALK_YS for n, t in WALK_CASES if (n, y) not in LONG_WALKS
+]
+
+
+@pytest.mark.parametrize("bits", [53, 128, 400])
+@pytest.mark.parametrize("y, n, truncate", REFERENCE_CASES)
+def test_rounding_bound_covers_loggamma_reference(y, n, truncate, bits):
+    total, rep = pe._term_walk(n, y, PrecisionContext(bits=bits), truncate)
+    ref = reference_log_f_400(n, y)
+    with mp.workprec(440):
+        # the kept sum is within rounding_bound of total, the dropped tail
+        # within relative_tail_bound; the reference is good to ~2^-380
+        err = abs(mp.log(total) - ref)
+        assert err <= (rep.rounding_bound + rep.relative_tail_bound) * (1 + mpf(2) ** -10) + (
+            mpf(2) ** -360
+        )
+
+
 class TestEvalLogReference:
     @pytest.mark.parametrize(
         "n,y", [(10**4, Fraction(2)), (10**3, Fraction("1.01")), (10**5, Fraction("1.0001"))]
@@ -343,8 +428,11 @@ class TestEvalLogReference:
     def test_matches_loggamma_reference(self, ctx, n, y):
         lv, _ = eval_log(n, y, ctx)
         ref = reference_log_f(n, y)
+        total, rep = pe._term_walk(n, y, ctx, truncate=True)
         with mp.workprec(256):
             assert abs(lv.log_magnitude - ref) <= 8 * ctx.eps * abs(ref)
+            bound = rep.rounding_bound + rep.relative_tail_bound
+            assert abs(mp.log(total) - ref) <= bound * (1 + mpf(2) ** -10) + mpf(2) ** -220
 
 
 class TestLogRatioTrend:
