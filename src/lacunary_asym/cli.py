@@ -41,6 +41,7 @@ from .numerics import (
     brief,
     require_exact_bits,
     require_n,
+    to_fraction,
 )
 from .polyeval import certify_absolute_monotonicity, eval_exact, eval_log
 from .quadrature import integrate_original, integrate_shifted
@@ -292,10 +293,10 @@ _PARSER = _build_parser()
 def parse_config(argv: Sequence[str]) -> RunConfig:
     args = _PARSER.parse_args(argv)
     try:
-        y = Fraction(require_exact_bits(args.y))
+        y = to_fraction(require_exact_bits(args.y))
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise UsageError(f"cannot parse rational number {brief(args.y)}") from exc
     if y <= 1:
         raise UsageError("y must exceed 1")

@@ -38,6 +38,10 @@ ExactRational = Fraction
 # need: the work budget of exact mode.  eval_exact(3000, 2) needs ~9.0M.
 EXACT_BITS_CAP = 10_000_000
 
+# Most digits a decimal may carry into exact mode: turning them into an int
+# is quadratic, 0.35 s at 100,000 digits on a 2-vCPU x86-64 box.
+EXACT_DIGITS_CAP = 100_000
+
 Real = Union[int, float, str, Fraction, mpf]
 
 
@@ -117,8 +121,9 @@ def brief(value) -> str:
 
 def require_exact_bits(value, name: str = "y"):
     """``value`` itself unless it is a decimal (str or Decimal) whose digits
-    and exponent need more than EXACT_BITS_CAP bits: DomainError
-    ("exact-bits-exceeded"), decided before Fraction builds 10^exponent."""
+    and exponent need more than EXACT_BITS_CAP bits, or whose digits number
+    more than EXACT_DIGITS_CAP: DomainError ("exact-bits-exceeded"), decided
+    before to_fraction builds 10^exponent."""
     if not isinstance(value, (str, Decimal)):
         return value
     try:
@@ -126,25 +131,39 @@ def require_exact_bits(value, name: str = "y"):
     except ArithmeticError:
         return value  # not a decimal (say "3/2"); Fraction decides
     size = len(digits) + abs(exp) if isinstance(exp, int) else 0
-    if 10 * size > 3 * EXACT_BITS_CAP:  # 10/3 bits per digit, above log2(10)
+    # 10/3 bits per digit, above log2(10)
+    if 10 * size > 3 * EXACT_BITS_CAP or len(digits) > EXACT_DIGITS_CAP:
         raise DomainError(
             "exact-bits-exceeded",
             f"{name} has {len(digits)} digits and decimal exponent {exp}, "
-            f"above the cap of {EXACT_BITS_CAP} bits",
+            f"above the cap of {EXACT_BITS_CAP} bits or {EXACT_DIGITS_CAP} digits",
         )
     return value
+
+
+def to_fraction(value) -> Fraction:
+    """Fraction(value), a decimal string through Decimal.as_integer_ratio:
+    Fraction(text) builds its ints with int(str), which Python refuses past
+    4300 digits.  The ratio comes in lowest terms.  Callers bound the
+    decimal's size first (require_exact_bits)."""
+    if isinstance(value, str) and "/" not in value:
+        return coprime_fraction(*Decimal(value).as_integer_ratio())
+    return Fraction(value)
 
 
 def _exact(value, exact: bool):
     """A real input as a value that compares exactly with 0 and 1, or
     TypeError/ValueError/ArithmeticError.
 
-    Exact mode takes what Fraction takes (not mpf); require_real has bounded
-    a decimal's size first.  Otherwise a decimal string becomes a Decimal
-    and an mpf stays as it is: the side of 0 and 1, all a real domain asks,
-    is decided without building 10^(10^9) or a million-digit int.
+    Exact mode takes what to_fraction takes (not mpf); require_real has
+    bounded a decimal's size first.  Otherwise a decimal string becomes a
+    Decimal and an mpf stays as it is: the side of 0 and 1, all a real
+    domain asks, is decided without building 10^(10^9) or a million-digit
+    int.
     """
-    if exact or isinstance(value, (numbers.Rational, float)) or (
+    if exact:
+        return to_fraction(value)
+    if isinstance(value, (numbers.Rational, float)) or (
         isinstance(value, str) and "/" in value
     ):
         return Fraction(value)

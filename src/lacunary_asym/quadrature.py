@@ -10,14 +10,21 @@ plus the plain Gaussian Fourier transform underlying both,
     (2 pi log y)^{-1/2} Int exp(-s^2/(2 log y) + iks) ds = y^{-k^2/2}.
 
 All integrands share the shape  A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n,
-evaluated over uniform grids by multiplicative recurrences (two real, two
-complex multiplies per point instead of fresh transcendentals), then summed
-with a composite trapezoid rule under step halving.
+evaluated over uniform grids and summed with a composite trapezoid rule
+under step halving.  No transcendental is evaluated per point: the
+Gaussian advances by two mpf multiplies, and the complex factor runs in
+Python ints (_row_factory): e^{is} and the phase by one fixed-point complex
+multiply each, 1 + c e^{is} by one more, and its n-th power by binary
+powering in block floating point, about 20 us per point at n <= 60 on a
+2-vCPU x86-64 box (CPython 3.11, pure-Python mpmath).
 
-Working precision is raised per call by the known cancellation budget: the
-integrand mass can exceed the result by a factor e^{mass_log - result_log}
-(worst at k = 30, where the answer is ~2^-450 against an O(1) integrand),
-and flat roundoff must stay below the relative target of the result.
+Working precision is the larger of ctx.bits and ceil(-log2 target_eps),
+raised per call by the known cancellation budget: the integrand mass can
+exceed the result by a factor e^{mass_log - result_log} (worst at k = 30,
+where the answer is ~2^-450 against an O(1) integrand), and flat roundoff
+must stay below the relative target of the result.  The plan (_plan)
+predicts the first pass's points times working bits before any row is
+built and refuses more than QUAD_WORK_CAP (quad-work-exceeded).
 
 The three integrators share one routine, _integrate, and one domain: an
 integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .numerics import (
     DEFAULT_CTX,
@@ -56,6 +64,13 @@ DEFAULT_TARGET_EPS = "1e-20"
 
 _GUARD = 32
 
+# Most first-pass points times working bits a quadrature may be planned to
+# take: its work budget.  The largest plans in the tests are 4,194,220
+# (integrate_original(200, 100): 4,877 points at 860 bits, 0.55 s on a
+# 2-vCPU x86-64 box) and 292,932 (gaussian_fourier(30, 2)); in the benchmark
+# workloads 76,195 (quadcheck, n = 60, y = 2).
+QUAD_WORK_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -65,6 +80,7 @@ class QuadratureResult:
     panels: int
     imag_residual: mpf
     last_halving_diff: mpf  # |T_h - T_2h| of the last step halving, scaled as value
+    extra_bits: int  # bits above the working precision against cancellation
 
 
 def _original(ym: mpf, L: mpf) -> Tuple[mpf, mpf, mpf]:
@@ -119,54 +135,124 @@ def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
 
 
 def _plan(
-    L: float, band: float, mass_log: float, result_log: float, eps: float
-) -> Tuple[float, float, int, float]:
-    """Grid geometry from the crude mass bound: the half width S, the step
-    h0, the extra bits and the log of the Gaussian-tail truncation bound.
+    L: float, band: float, mass_log: float, result_log: float, log_eps: float, bits: int
+) -> Tuple[float, int, int, float]:
+    """Grid geometry from the crude mass bound: the half width S, the first
+    pass's panel count, the extra bits and the log of the Gaussian-tail
+    truncation bound.
 
     band:       highest Fourier mode of the non-Gaussian factor
     mass_log:   log sup of the integrand modulus
     result_log: log of a lower bound on the result magnitude
+    log_eps:    log of the relative target
     Tail cut: e^{mass_log - S^2/(2L)} <= eps_abs e^-5; alias cut: grid
     Nyquist 2 pi/h beyond band + Gaussian spectral width at eps_abs.
+
+    The first pass sums panels + 1 points at bits + _GUARD + extra bits;
+    above QUAD_WORK_CAP of their product: DomainError("quad-work-exceeded").
     """
-    need = mass_log - (result_log + math.log(eps))
+    need = max(0.0, mass_log - (result_log + log_eps))  # a target above the mass needs no cut
     S = math.sqrt(2 * L * (need + 5))
     h0 = 2 * math.pi / (band + math.sqrt(2 * need / L) + 4)
     extra = max(0, math.ceil((mass_log - result_log) / math.log(2))) + 8
-    return S, h0, extra, mass_log - S * S / (2 * L)
+    panels = max(math.ceil(2 * S / h0), 8)
+    work = (panels + 1) * (bits + _GUARD + extra)
+    if work > QUAD_WORK_CAP:
+        raise DomainError(
+            "quad-work-exceeded",
+            f"{panels + 1} points at {bits + _GUARD + extra} bits, {work} bit-points "
+            f"above the cap {QUAD_WORK_CAP}",
+        )
+    return S, panels, extra, mass_log - S * S / (2 * L)
+
+
+def _fixed(z: mpc, wp: int) -> Tuple[int, int]:
+    """z as a pair of wp-bit fixed-point ints, each part floored."""
+    return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
 
 
 def _row_factory(
     L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int
 ) -> Callable[[mpf, mpf, int], List[mpc]]:
-    """Grid evaluator for A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n.
+    """Grid evaluator for A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n at the
+    active mpmath precision p: row(s0, h, count) gives the values at
+    s_j = s0 + j h, j < count.
 
-    Gaussian and phase factors advance by multiplicative recurrences:
-    e^{-(s+h)^2/(2L)} = e^{-s^2/(2L)} * M,  M stepping by e^{-h^2/L}.
+    The Gaussian factor G_j = A e^{-s_j^2/(2L)} advances by mpf recurrences:
+    G_{j+1} = G_j M_j, M_{j+1} = M_j Q, Q = e^{-h^2/L}.  The complex factor
+    runs in Python ints, u = 2^-wp, wp = p + g:
+    - W_j = e^{is_j} and the phase e^{i beta s_j} are wp-bit fixed point,
+      started from expj at wp bits and advanced by one complex multiply,
+      floored;
+    - z_j = 1 + c W_j is one multiply by the mantissa of c, floored to the
+      unit 2^T u, 2^T >= max(1, c) the next power of two;
+    - z_j^n comes from left-to-right binary powering in block floating
+      point: both parts share one exponent and, after each bit of n, shift
+      right until the larger has wp bits.  The ints stay at wp bits for any
+      c, and the error stays relative to |z_j|^k, not to a fixed scale.
+    The value G_j z_j^n e^{i beta s_j} is rounded once, to p bits.
+
+    The rounding, relative to G_j (1 + c)^n, which is at most e^{mass_log}
+    (up to the drift of the G recurrence):
+    - |W_j - e^{is_j}| <= 8 (j+1) u: expj at wp bits and the floor leave
+      under 4.3 u on W_0 and on the step, and each step adds the step's
+      error and under 1.5 u of floor.  The phase drifts the same, plus
+      b u, b = |beta| (|s0| + count h), from rounding beta s0 and beta h.
+    - z_j is off by at most c 8 (j+1) u plus 2.9 (1 + c) u of floor; the
+      n-th power multiplies that by n (1 + c)^(n-1), and each of the
+      bit_length(n) renormalisations adds under 2.9 u relative to |z_j|^k.
+    With 3n + 3 log2(n+1) <= 8(n+1) and the second-order terms, the sum
+    is at most E u, E = 8 (n+1) (count + 2) + ceil(b).  The guard bits
+    g = bit_length(E) put it below 2^-p; the final rounding adds 2^-p of
+    the value.  So each value is within 2^(1-p) G_j (1 + c)^n of the
+    exact integrand at the same G_j: no more than the rounding of the mpc
+    products this replaced, and inside the budget _GUARD + extra that
+    _integrate reserves for roundoff.
     """
     has_phase = beta != 0
     has_power = n != 0 and c != 0
+    tail_bits = bin(n)[3:]  # the bits after the leading one
+    _, cm, ce, cbc = c._mpf_ if has_power else (0, 0, 0, 0)
+    T = max(ce + cbc, 1)
 
     def row(s0: mpf, h: mpf, count: int) -> List[mpc]:
+        p = mp.prec
+        b = int(mp.ceil(abs(beta) * (abs(s0) + count * h)))
+        wp = p + (8 * (n + 1) * (count + 2) + b).bit_length()
         G = mp.exp(amp_log - s0 * s0 / (2 * L))
         M = mp.exp(-s0 * h / L - h * h / (2 * L))
         Q = mp.exp(-h * h / L)
-        P = mp.expj(beta * s0) if has_phase else mpc(1)
-        Pstep = mp.expj(beta * h) if has_phase else mpc(1)
-        W = mp.expj(s0)
-        Wstep = mp.expj(h)
+        with mp.workprec(wp):
+            wr, wi = _fixed(mp.expj(s0), wp)
+            sr, si = _fixed(mp.expj(h), wp)
+            pr, pi = _fixed(mp.expj(beta * s0), wp) if has_phase else (1, 0)
+            qr, qi = _fixed(mp.expj(beta * h), wp) if has_phase else (1, 0)
+        one = 1 << (wp - T) if wp >= T else 0  # 1 in units 2^T u
+        zexp = T - wp
         out = []
         for _ in range(count):
-            v = G * P
+            re, im, e = 1, 0, 0
             if has_power:
-                v = v * (1 + c * W) ** n
-            out.append(v)
+                zr = one + (cm * wr >> (T - ce))
+                zi = cm * wi >> (T - ce)
+                re, im, e = zr, zi, zexp  # z^k = (re + i im) 2^e
+                for bit in tail_bits:
+                    re, im, e = (re + im) * (re - im), 2 * re * im, 2 * e
+                    if bit == "1":
+                        re, im, e = re * zr - im * zi, re * zi + im * zr, e + zexp
+                    d = (abs(re) | abs(im)).bit_length() - wp
+                    if d > 0:
+                        re, im, e = re >> d, im >> d, e + d
+            if has_phase:
+                re, im, e = re * pr - im * pi, re * pi + im * pr, e - wp
+            _, gm, ge, _ = G._mpf_
+            real = from_man_exp(gm * re, ge + e, p, round_nearest)
+            out.append(mp.make_mpc((real, from_man_exp(gm * im, ge + e, p, round_nearest))))
             G *= M
             M *= Q
+            wr, wi = (wr * sr - wi * si) >> wp, (wr * si + wi * sr) >> wp
             if has_phase:
-                P *= Pstep
-            W *= Wstep
+                pr, pi = (pr * qr - pi * qi) >> wp, (pr * qi + pi * qr) >> wp
         return out
 
     return row
@@ -175,10 +261,9 @@ def _row_factory(
 def _trapezoid(
     row: Callable[[mpf, mpf, int], List[mpc]],
     S: mpf,
-    h0: float,
+    panels: int,
     rel_tol: mpf,
 ) -> Tuple[mpc, mpf, int, mpf]:
-    panels = max(int(math.ceil(2 * S / h0)), 8)
     h = 2 * S / panels
     vals = row(-S, h, panels + 1)
     T = h * (mp.fsum(vals) - (vals[0] + vals[-1]) / 2)
@@ -206,26 +291,37 @@ def _integrate(
     """Validate, plan, elevate the precision and sum A e^{-s^2/(2L)} e^{i beta s}
     (1 + c e^{is})^n.  setup(ym, L) gives mass_log, result_log and
     coefficients(ym, L), which gives log A, beta and c at elevated precision.
+    The sum runs at bits = max(ctx.bits, ceil(-log2 eps)) plus the
+    elevation, so a target finer than ctx can be met; the result is rounded
+    to ctx like every other value.  setup runs at ctx's precision: the plan
+    reads only floats from it, so a target of 1e-1000000000 (3.3e9 bits)
+    is refused before any work at those bits.
     """
     require_n(n, cap=cap, cap_code="quad-cap")
     require_y(y)
     eps = as_real(DEFAULT_TARGET_EPS if target_eps is None else require_eps(target_eps))
+    # the plan rests on math.log of the float; mp.log only below the float range
+    log_eps = math.log(float(eps)) if float(eps) > 0 else float(mp.log(eps))
+    _, _, exp, bc = eps._mpf_  # 2^(exp+bc-1) <= eps < 2^(exp+bc)
+    bits = max(ctx.bits, 1 - exp - bc)  # ceil(-log2 eps): the sum can meet the target
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
         mass_log, result_log, coefficients = setup(ym, L)
-    S, h0, extra_bits, trunc_log = _plan(float(L), float(n), mass_log, result_log, float(eps))
-    with ctx.prec(_GUARD + extra_bits):
+    S, panels, extra_bits, trunc_log = _plan(
+        float(L), float(n), mass_log, result_log, log_eps, bits
+    )
+    with mp.workprec(bits + _GUARD + extra_bits):
         ym_hi = as_real(y)
         L_hi = mp.log(ym_hi)
         row = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n)
-        T, h, panels, diff = _trapezoid(row, mpf(S), h0, eps)
-    with ctx.prec(_GUARD):
-        norm = mp.sqrt(2 * mp.pi * L)
+        T, h, panels, diff = _trapezoid(row, mpf(S), panels, eps)
+    with mp.workprec(bits + _GUARD):
+        norm = mp.sqrt(2 * mp.pi * mp.log(as_real(y)))
         value, imag_res, diff = T.real / norm, abs(T.imag) / norm, diff / norm
         bound = mp.exp(mpf(trunc_log))
     with ctx.prec():
-        return QuadratureResult(+value, +bound, +h, panels, +imag_res, +diff)
+        return QuadratureResult(+value, +bound, +h, panels, +imag_res, +diff, extra_bits)
 
 
 def integrate_original(

@@ -245,6 +245,30 @@ CASES = [
         EXIT_USAGE,
         id="cli eval --n 111... (10^5 digits)",
     ),
+    # a quadrature past its work budget: 12,386 points at 3,158 bits ran past 90 s
+    pytest.param(
+        lambda: integrate_original(60, "1e30"),
+        "quad-work-exceeded",
+        id="integrate_original(60, '1e30')",
+    ),
+    pytest.param(
+        # 3.3e9 working bits: raw ValueError from math.log(0.0) before the
+        # budget; refused before any work at that precision since
+        lambda: integrate_original(5, 2, target_eps="1e-1000000000"),
+        "quad-work-exceeded",
+        id="integrate_original(5, 2, target_eps='1e-1000000000')",
+    ),
+    pytest.param(
+        ["quadcheck", "--y", "1e30", "--n", "60"],
+        EXIT_DOMAIN,
+        id="cli quadcheck --y 1e30 --n 60",
+    ),
+    # more digits than exact mode turns into an int in bounded time
+    pytest.param(
+        lambda: eval_exact(3, "1." + "0" * 200_000 + "1"),
+        "exact-bits-exceeded",
+        id="eval_exact(3, '1.000...01', 2*10^5 digits)",
+    ),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),
     pytest.param(grid("--n-factor", "inf"), EXIT_USAGE, id="cli --n-factor inf"),
@@ -290,6 +314,29 @@ def test_long_decimal_y_is_rounded_not_parsed_whole():
     assert eval_float(3, near_one)[0] == 8  # y rounds to 1 at any working precision
     with mp.workprec(100):
         assert as_real("0." + "3" * 10**6) == mpf(1) / 3
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_long_decimal_y_is_exact_in_exact_mode_and_the_cli(capsys):
+    # Fraction(text) hit the 4300-digit int-string limit: "y must be a
+    # rational" and "cannot parse rational number"
+    near_one = "1." + "0" * 5000 + "1"
+    yq = Fraction(10**5001 + 1, 10**5001)
+    assert eval_exact(3, near_one) == 4 + 3 / yq + 1 / yq**3
+    assert cli.main(["eval", "--y", near_one, "--n", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "3"
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_quadrature_target_beyond_ctx_returns():
+    # at 128 bits the floor was ~2^-160: 20 halvings, killed after 30 s
+    # the sum meets the target; the value is rounded to ctx's 128 bits
+    res = integrate_original(5, "2", target_eps="1e-55")
+    assert 0 < res.last_halving_diff <= mpf("1e-55") * res.value
+    exact = eval_exact(5, 2)
+    with mp.workprec(300):
+        want = mpf(exact.numerator) / exact.denominator
+        assert abs(res.value - want) <= mpf(2) ** -128 * want
 
 
 @pytest.mark.usefixtures("time_limit")

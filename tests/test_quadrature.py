@@ -2,18 +2,20 @@
 
 Oracles: closed-form integrand values at special points, the integrand
 written as one principal-log exponential at 300 bits, exact rational
-f_n(1/y) from eval_exact, the Gaussian Fourier transform y^{-k^2/2}, and
-agreement between the two independent contour representations.
+f_n(1/y) from eval_exact, the Gaussian Fourier transform y^{-k^2/2},
+agreement between the two independent contour representations, and the
+mpc row evaluator that the integer one replaced (reference_row).
 """
 
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from lacunary_asym import (
     ComputationError,
     DomainError,
+    PrecisionContext,
     QuadratureResult,
     eval_exact,
     gaussian_fourier,
@@ -49,8 +51,15 @@ def principal_log_integrand(s, n, y, r=0):
         )
 
 
-@pytest.mark.parametrize("n,y", [(5, 2), (12, Fraction(3, 2)), (30, 4)])
-@pytest.mark.parametrize("s", [Fraction(-7, 3), 0, Fraction(5, 4)])
+with mp.workprec(128):
+    PI_128 = +mp.pi
+
+
+# s near pi, where |1 + c e^{is}| is smallest, as well as points away from it
+@pytest.mark.parametrize("n,y", [(5, 2), (12, Fraction(3, 2)), (30, 4), (60, "1.00123")])
+@pytest.mark.parametrize(
+    "s", [Fraction(-7, 3), 0, Fraction(5, 4), PI_128, Fraction("3.1"), Fraction("-3.14159")]
+)
 def test_integrands_match_principal_log_reference(ctx, n, y, s):
     r = solve_r(n, y, ctx).t
     for got, want in (
@@ -250,6 +259,165 @@ class TestGaussianFourier:
         with pytest.raises(DomainError) as exc:
             gaussian_fourier(3, 1, ctx)
         assert exc.value.code == "y-out-of-domain"
+
+
+def reference_row(L, amp_log, beta, c, n):
+    """The mpc row evaluator that the integer one replaced: the same
+    Gaussian recurrences, with e^{is} and the phase advanced in mpc and the
+    power taken by mpc ** int, all at the active precision."""
+    has_phase = beta != 0
+    has_power = n != 0 and c != 0
+
+    def row(s0, h, count):
+        G = mp.exp(amp_log - s0 * s0 / (2 * L))
+        M = mp.exp(-s0 * h / L - h * h / (2 * L))
+        Q = mp.exp(-h * h / L)
+        P = mp.expj(beta * s0) if has_phase else mpc(1)
+        Pstep = mp.expj(beta * h) if has_phase else mpc(1)
+        W = mp.expj(s0)
+        Wstep = mp.expj(h)
+        out = []
+        for _ in range(count):
+            v = G * P
+            if has_power:
+                v = v * (1 + c * W) ** n
+            out.append(v)
+            G *= M
+            M *= Q
+            if has_phase:
+                P *= Pstep
+            W *= Wstep
+        return out
+
+    return row
+
+
+INTEGRATORS = {"original": integrate_original, "shifted": integrate_shifted}
+
+# A spread of the grid y in {2, 3/2, 1.00123, 4, 100, 1.1} x n in 0..60 (plus
+# 80, 120, 200 for y in {2, 3/2, 4, 100}) x both integrators, on which all
+# 773 cases with the Fourier and 256-bit ones below gave identical results;
+# the whole grid takes about 60 s with the reference row.
+REFERENCE_GRID = [
+    (name, n, y, 128)
+    for y in (2, Fraction(3, 2), "1.00123", 4, 100, "1.1")
+    for n in (0, 1, 2, 13, 60)
+    for name in INTEGRATORS
+] + [
+    ("original", 200, 2, 128),
+    ("shifted", 200, 100, 128),
+    ("original", 20, 2, 256),
+    ("shifted", 60, 2, 256),
+    ("fourier", 0, 2, 128),
+    ("fourier", 9, 4, 128),
+    ("fourier", 30, 2, 128),
+]
+
+
+def run(name, n, y, bits):
+    integrate = INTEGRATORS.get(name, gaussian_fourier)
+    return integrate(n, y, PrecisionContext(bits=bits))
+
+
+@pytest.mark.parametrize("name, n, y, bits", REFERENCE_GRID)
+def test_integer_row_gives_the_reference_results(monkeypatch, name, n, y, bits):
+    # arithmetic below the working precision leaves every rounded result as it was
+    got = run(name, n, y, bits)
+    monkeypatch.setattr(qd, "_row_factory", reference_row)
+    want = run(name, n, y, bits)
+    assert (got.value, got.step, got.panels, got.truncation_bound) == (
+        want.value,
+        want.step,
+        want.panels,
+        want.truncation_bound,
+    )
+
+
+def recorded_rows(monkeypatch, name, n, y):
+    """Every row the quadrature (name, n, y) evaluates, with the factory's
+    arguments and the precision it ran at."""
+    rows = []
+    factory = qd._row_factory
+
+    def recording(*args):
+        row = factory(*args)
+
+        def record(s0, h, count):
+            out = row(s0, h, count)
+            rows.append((args, mp.prec, s0, h, count, out))
+            return out
+
+        return record
+
+    monkeypatch.setattr(qd, "_row_factory", recording)
+    run(name, n, y, 128)
+    return rows
+
+
+# the largest plan in the tests (200, 100), a huge c (1e10), c near 1 and a
+# phase (shifted), a phase alone (fourier)
+ROW_CASES = [
+    ("original", 200, 100),
+    ("original", 60, "1e10"),
+    ("original", 60, "1.00123"),
+    ("shifted", 30, 4),
+    ("shifted", 200, 2),
+    ("fourier", 30, 2),
+]
+
+
+@pytest.mark.parametrize("name, n, y", ROW_CASES)
+def test_row_values_within_the_rounding_bound(monkeypatch, name, n, y):
+    # each value is within 2^(1-p) G_j (1 + c)^n of G_j e^{i beta s_j}
+    # (1 + c e^{is_j})^n, G_j the row's own Gaussian recurrence at p bits
+    for (L, amp_log, beta, c, n_), p, s0, h, count, out in recorded_rows(
+        monkeypatch, name, n, y
+    ):
+        with mp.workprec(p):
+            G = mp.exp(amp_log - s0 * s0 / (2 * L))
+            M = mp.exp(-s0 * h / L - h * h / (2 * L))
+            Q = mp.exp(-h * h / L)
+            gauss = []
+            for _ in range(count):
+                gauss.append(G)
+                G *= M
+                M *= Q
+        with mp.workprec(p + 64):
+            for j in range(0, count, max(1, count // 150)):
+                s = s0 + j * h
+                want = gauss[j] * mp.expj(beta * s) * (1 + c * mp.expj(s)) ** n_
+                bound = gauss[j] * (1 + c) ** n_ * mpf(2) ** (1 - p) * (1 + mpf(2) ** -20)
+                assert abs(out[j] - want) <= bound, (j, count)
+
+
+class TestWorkBudget:
+    def test_targets_outside_the_float_range(self, ctx):
+        # math.log(0.0) and sqrt of a negative need: raw ValueError
+        exact = eval_exact(5, 2)
+        res = integrate_original(5, 2, ctx, target_eps="1e-400")
+        assert 0 < res.last_halving_diff <= mpf("1e-400") * res.value
+        assert rel_err(res.value, exact.numerator, exact.denominator) <= mpf(2) ** -ctx.bits
+        res = integrate_original(5, 2, ctx, target_eps="1e10")
+        assert rel_err(res.value, exact.numerator, exact.denominator) <= 1
+
+    def test_refused_before_any_row(self, ctx, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(qd, "_row_factory", no_rows)
+        for call in (
+            lambda: integrate_original(60, "1e30", ctx),
+            lambda: integrate_original(200, "1e6", ctx),
+            lambda: gaussian_fourier(64, 100, ctx),
+        ):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert exc.value.code == "quad-work-exceeded"
+
+    def test_extra_bits_cover_the_cancellation(self, ctx):
+        assert integrate_original(0, 2, ctx).extra_bits == 8
+        # the answer ~2^-450 against an O(1) integrand
+        assert 458 <= gaussian_fourier(30, 2, ctx).extra_bits <= 459
 
 
 class TestStallGuard:
