@@ -47,6 +47,18 @@ from .solvers import _saddle_roots, solve_r
 
 _GUARD = 32
 
+# Most terms the theta_3 sum may be predicted to take: its work budget, ~0.25 s
+# at 128 bits and ~0.9 s at 1024 on a 2-vCPU x86-64 box.  The work grows like
+# (1-q)^-1/2 as q -> 1: 98,359 terms and 2.8 s at q = 1 - 1e-8.  The nome of
+# approximation_summary reaches the cap at y ~ 10^(1.2e6) at 1024 bits.
+THETA_TERMS_CAP = 10_000
+
+# Highest order K of saddle_data's b_K and nu of euler_frobenius and
+# b_closed_form: saddle_data(10, 2, K=800) took 6.7 s and euler_frobenius(2000)
+# 4.0 s.  At the cap saddle_data(2, 2, K=64) takes 0.4 s at 128 bits, 1.9 s at
+# 1024.
+ORDER_CAP = 64
+
 # i^nu cycle, nu mod 4
 _I_POW = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))
 
@@ -98,13 +110,20 @@ class ProofResiduals:
     s_form_log: mpf
 
 
+def _require_order(order, name: str, lo: int) -> int:
+    """An integer order (K or nu) in [lo, ORDER_CAP], else DomainError coded
+    <name>-out-of-domain, or order-cap-exceeded above the cap."""
+    cap_code, code = "order-cap-exceeded", f"{name}-out-of-domain"
+    return require_n(order, lo=lo, cap=ORDER_CAP, cap_code=cap_code, code=code, name=name)
+
+
 def euler_frobenius(nu: int) -> List[int]:
     """Coefficients of P_nu, where sum_{l>=1} l^nu z^l = P_nu(z)/(1-z)^{nu+1}.
 
     Recurrence: applying z d/dz to the generating identity gives
     P_{nu+1} = z(1-z) P_nu' + (nu+1) z P_nu.  Exact integers throughout.
     """
-    require_n(nu, code="nu-out-of-domain", name="nu")
+    _require_order(nu, "nu", lo=0)
     coeffs = [1]  # P_0
     for m in range(nu):
         # z(1-z) P' + (m+1) z P, degree grows by one
@@ -137,7 +156,8 @@ def b_closed_form(n_m: mpf, x: mpf, nu: int) -> mpc:
     """b_nu via the Euler-Frobenius closed form P_{nu-1}(-x)/(1+x)^nu; real n_m, x, nu >= 1."""
     n_m = as_real(require_real(n_m, "n-out-of-domain", "n", above=-math.inf))
     x = as_real(require_real(x, "x-out-of-domain", "x", above=-math.inf))
-    poly = euler_frobenius(require_n(nu, lo=1, code="nu-out-of-domain", name="nu") - 1)
+    _require_order(nu, "nu", lo=1)
+    poly = euler_frobenius(nu - 1)
     acc = mpf(0)
     for c in reversed(poly):
         acc = acc * (-x) + c
@@ -148,7 +168,7 @@ def saddle_data(
     n: int, y, K: int = 8, ctx: PrecisionContext = DEFAULT_CTX
 ) -> SaddleData:
     """Saddle root, Taylor data psi0 and a, and coefficients b_3..b_K."""
-    require_n(K, lo=3, code="K-out-of-domain", name="K")
+    _require_order(K, "K", lo=3)
     root = solve_r(n, y, ctx)
     with ctx.prec(_GUARD):
         ym = as_real(y)
@@ -180,7 +200,22 @@ def saddle_data(
 
 
 def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
-    """2 sum_{k=1}^K q^{k^2} cos(2kz) with 2 q^{(K+1)^2}/(1-q) <= eps."""
+    """2 sum_{k=1}^K q^{k^2} cos(2kz) with 2 q^{(K+1)^2}/(1-q) <= eps.
+
+    K is the least with (K+1)^2 >= log(eps (1-q)/2) / log q; that bound is
+    priced before the loop, which then finds K exactly, and a K above
+    THETA_TERMS_CAP is refused (theta-terms-exceeded).  The price is taken
+    in floats, or in mpf where a float underflows or q rounds to 0 or 1."""
+    try:
+        need = math.log(eps * (1 - q) / 2) / math.log(q)
+    except (ValueError, ZeroDivisionError):
+        need = mp.log(eps * (1 - q) / 2) / mp.log(q)  # 0 at q = 0
+    if need > (THETA_TERMS_CAP + 1) ** 2:
+        raise DomainError(
+            "theta-terms-exceeded",
+            f"nome 1 - {mp.nstr(1 - q, 3)} needs ~{mp.nstr(mp.sqrt(need), 3)} terms, "
+            f"above the cap {THETA_TERMS_CAP}",
+        )
     K = 0
     tail = 2 * q / (1 - q)  # bound for the sum from k = K+1 on
     while tail > eps:

@@ -34,6 +34,7 @@ from mpmath import mp, mpf
 from . import __version__
 from .asymptotics import approx_theorem, approximation_summary
 from .numerics import (
+    PRECISION_BITS_CAP,
     DomainError,
     LacunaryError,
     PrecisionContext,
@@ -167,8 +168,8 @@ def _resolve_bits(args: argparse.Namespace) -> int:
             ) from exc
     else:
         bits = DEFAULT_BITS
-    if bits < 53:
-        raise UsageError("precision must be at least 53 bits")
+    if not 53 <= bits <= PRECISION_BITS_CAP:
+        raise UsageError(f"precision must be from 53 to {PRECISION_BITS_CAP} bits")
     return bits
 
 

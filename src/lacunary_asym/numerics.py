@@ -8,8 +8,9 @@ precision promises results accurate to the relative tolerance
     eps = 2^-(bits - guard_bits)
 
 so the guard bits absorb summation-length round-off and the occasional
-ill-conditioned subexpression.  Operations given the same context are
-deterministic: same inputs, bit-identical outputs.
+ill-conditioned subexpression; bits runs from 53 to PRECISION_BITS_CAP.
+Operations given the same context are deterministic: same inputs,
+bit-identical outputs.
 
 Every public entry point checks its real and integer inputs with the
 require_* functions below.  They decide exactly, on the input's own value,
@@ -42,6 +43,15 @@ EXACT_BITS_CAP = 10_000_000
 # is quadratic, 0.35 s at 100,000 digits on a 2-vCPU x86-64 box.
 EXACT_DIGITS_CAP = 100_000
 
+# Most bits of working precision a PrecisionContext may carry: every layer's
+# cost grows with it, while the walk and theta budgets count terms only.  The
+# slowest CLI row at the cap, on a shared 2-vCPU x86-64 box, is a walk just
+# inside WALK_TERMS_CAP, eval --y 1.0000023 --n 10000000 (994,654 predicted
+# terms): 3.8-9.4 s with the host's load, 1.2-1.4 s at 128 bits.
+# approximation_summary(10, 2) took 73.6 s at 10^5 bits.  The tests use at
+# most 400 bits.
+PRECISION_BITS_CAP = 1024
+
 Real = Union[int, float, str, Fraction, mpf]
 
 
@@ -69,10 +79,11 @@ class PrecisionContext:
     guard_bits: int = 16
 
     def __post_init__(self) -> None:
-        require_n(self.bits, lo=53, code="precision-out-of-domain", name="bits")
-        require_n(self.guard_bits, lo=8, code="precision-out-of-domain", name="guard_bits")
+        code = "precision-out-of-domain"
+        require_n(self.bits, lo=53, cap=PRECISION_BITS_CAP, cap_code=code, code=code, name="bits")
+        require_n(self.guard_bits, lo=8, code=code, name="guard_bits")
         if self.guard_bits >= self.bits:
-            raise DomainError("precision-out-of-domain", "guard_bits must be smaller than bits")
+            raise DomainError(code, "guard_bits must be smaller than bits")
 
     @property
     def eps(self) -> mpf:
@@ -90,9 +101,16 @@ def as_real(value: Real) -> mpf:
 
     mpf parses all digits of a decimal string into one int, which Python
     refuses past 4300 digits: a longer string is first rounded, as a
-    Decimal, to 20 digits more than the precision carries."""
+    Decimal, to 20 digits more than the precision carries.  A Fraction is
+    its numerator rounded, over its denominator taken exactly, with the
+    latter's trailing zero bits moved into the numerator's exponent: mpf(int)
+    and int operands take an int exactly first, and mpmath drops its
+    trailing zero bits 8 at a time, quadratic in their number (1.6 s for
+    10^400000, which a decimal y brings)."""
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / value.denominator
+        den = value.denominator
+        tz = (den & -den).bit_length() - 1
+        return mpf((value.numerator, -tz)) / (den >> tz)
     if isinstance(value, str) and len(value) > 4000:
         value = str(Context(prec=mp.dps + 20).plus(Decimal(value)))
     return mpf(value)

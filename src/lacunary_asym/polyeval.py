@@ -11,8 +11,8 @@ own rounding error.  Also computes the iterated forward differences in n,
 
     D^r f_n(1/y) = sum_{k=0}^{n} C(n,k) * y^{-C(k+r,2)},
 
-and certifies their positivity (absolute monotonicity) against independent
-telescoping.
+and certifies their positivity (absolute monotonicity) on a grid: an int
+Pascal table in n, checked against telescoped exact evaluations.
 
 Domains (checked through the numerics boundary): integers n, r >= 0, not
 bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0 with
@@ -311,31 +311,31 @@ class MonotonicityCertificate:
 
 
 def certify_absolute_monotonicity(N: int, R: int, y) -> MonotonicityCertificate:
-    """Verify D^r f_n(1/y) > 0 for all 0 <= n <= N, 0 <= r <= R.
-
-    Every closed-form value is checked exactly against the telescoped
-    table T[r][n] = T[r-1][n+1] - T[r-1][n] built from plain evaluations,
-    so the certificate rests on two independent computations.
-    Every entry is kept, so the sum over n <= N, r <= R of C(n+r,2) *
-    max(bits of p, q) must fit EXACT_BITS_CAP.
+    """Verify D^r f_n(1/y) > 0 for all 0 <= n <= N, 0 <= r <= R, by two
+    independent int tables of numerators over p^C(n+r,2) (y = p/q, the
+    denominators of _exact_sum).  Pascal's rule in n (D C(n,k) = C(n,k-1)),
+    A(n,r) = A(n-1,r) p^(n+r-1) + A(n-1,r+1) from A(0,r) = q^C(r,2), sums
+    positive terms built from powers of p and q alone; telescoping, B(n,r+1)
+    = B(n+1,r) - B(n,r) p^(n+r), starts from B(m,0), the numerator of
+    eval_exact(m).  Every entry is kept: the sum over n <= N, r <= R of
+    C(n+r,2) * max(bits of p, q) must fit EXACT_BITS_CAP.
     """
     yq = _exact_args(N, R, y, table=True)
-    row = [eval_exact(m, yq) for m in range(N + R + 1)]
+    p, q = yq.numerator, yq.denominator
+    pw = [p**m for m in range(N + R + 1)]
+    row = [eval_exact(m, yq).numerator for m in range(N + R + 1)]
+    B = [row[: N + 1]]
+    for r in range(R):
+        row = [b - a * pw[n + r] for n, (a, b) in enumerate(zip(row, row[1:]))]
+        B.append(row[: N + 1])
+    A = [q ** (r * (r - 1) // 2) for r in range(N + R + 1)]  # the column n = 0
+    dens = [p ** (m * (m - 1) // 2) for m in range(N + R + 1)]
     entries = []
-    for r in range(R + 1):
-        for n in range(N + 1):
-            value = forward_difference(n, r, yq)
-            if value != row[n]:
-                raise ComputationError(
-                    "monotonicity-violation",
-                    f"closed form disagrees with telescoping at (n={n}, r={r})",
-                )
-            if value <= 0:
-                raise ComputationError(
-                    "monotonicity-violation",
-                    f"non-positive difference at (n={n}, r={r}): {value}",
-                )
-            entries.append(MonotonicityEntry(n, r, value))
-        row = [b - a for a, b in zip(row, row[1:])]
-    ordered = sorted(entries, key=lambda e: (e.n, e.r))
-    return MonotonicityCertificate(N, R, yq, tuple(ordered))
+    for n in range(N + 1):
+        A = [a * pw[n + r - 1] + b for r, (a, b) in enumerate(zip(A, A[1:]))] if n else A
+        for r in range(R + 1):
+            if not A[r] == B[r][n] > 0:
+                msg = f"closed form and telescoping disagree or are not positive at (n={n}, r={r})"
+                raise ComputationError("monotonicity-violation", msg)
+            entries.append(MonotonicityEntry(n, r, coprime_fraction(A[r], dens[n + r])))
+    return MonotonicityCertificate(N, R, yq, tuple(entries))

@@ -17,7 +17,9 @@ from mpmath import mp, mpf
 from lacunary_asym import (
     ApproxRecord,
     DomainError,
+    ORDER_CAP,
     PrecisionContext,
+    THETA_TERMS_CAP,
     approx_bdm,
     approx_theorem,
     approximation_summary,
@@ -127,6 +129,18 @@ class TestTheta3:
         with ctx.prec():
             assert abs(tight.value - loose.value) <= mpf("1e-6") * 2
 
+    def test_terms_priced_before_the_loop(self, ctx):
+        # at q = 1/2 the loop stops at the first K with 4 2^-(K+1)^2 <= eps;
+        # the prediction (in mpf: eps is below the float range) admits
+        # K = cap - 1 and refuses K = cap + 1; near q = 1 it runs in floats
+        assert theta3(1, "0.999999", ctx=ctx).K == 9599
+        cap = THETA_TERMS_CAP
+        res = theta3(1, Fraction(1, 2), eps=mpf(2) ** (2 - cap**2), ctx=ctx)
+        assert res.K == cap - 1
+        with pytest.raises(DomainError) as exc:
+            theta3(1, Fraction(1, 2), eps=mpf(2) ** (2 - (cap + 2) ** 2), ctx=ctx)
+        assert exc.value.code == "theta-terms-exceeded"
+
     def test_nome_domain(self, ctx):
         for bad in (1, Fraction(11, 10), Fraction(-1, 10)):
             with pytest.raises(DomainError) as exc:
@@ -201,6 +215,20 @@ class TestSaddleData:
         with pytest.raises(DomainError) as exc:
             saddle_data(5, 2, K=2, ctx=ctx)
         assert exc.value.code == "K-out-of-domain"
+
+    def test_order_cap(self, ctx):
+        # the cap is admitted by every order argument, one above it refused
+        assert len(saddle_data(10, 2, K=ORDER_CAP, ctx=ctx).b) == ORDER_CAP - 2
+        assert sum(euler_frobenius(ORDER_CAP)) == math.factorial(ORDER_CAP)
+        b_closed_form(10, mpf("0.5"), ORDER_CAP)
+        for call in (
+            lambda: saddle_data(10, 2, K=ORDER_CAP + 1, ctx=ctx),
+            lambda: euler_frobenius(ORDER_CAP + 1),
+            lambda: b_closed_form(10, mpf("0.5"), ORDER_CAP + 1),
+        ):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert exc.value.code == "order-cap-exceeded"
 
     @given(
         n=st.integers(min_value=2, max_value=10**5),

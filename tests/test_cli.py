@@ -153,6 +153,15 @@ class TestBitsResolution:
                 parse_config(["eval", "--y", "2", "--n", "3"])
             assert len(str(exc.value)) < 200
 
+    def test_cap(self, monkeypatch):
+        # every layer's cost grows with the precision; 10^6 bits ran past 60 s
+        cap = cli.PRECISION_BITS_CAP
+        assert parse_config(["eval", "--y", "2", "--n", "3", "--bits", str(cap)]).bits == cap
+        monkeypatch.setenv(cli.BITS_ENV_VAR, str(cap + 1))
+        with pytest.raises(UsageError, match=str(cap)):
+            parse_config(["eval", "--y", "2", "--n", "3"])
+        assert cli.main(["eval", "--y", "2", "--n", "3"]) == cli.EXIT_USAGE
+
 
 class TestFormatReal:
     def test_fixed_window(self):

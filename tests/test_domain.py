@@ -269,6 +269,56 @@ CASES = [
         "exact-bits-exceeded",
         id="eval_exact(3, '1.000...01', 2*10^5 digits)",
     ),
+    # working precision past its cap: approximation_summary(10, 2) took 73.6 s
+    # at 10^5 bits, and eval at 10^6 bits ran past 60 s
+    pytest.param(
+        lambda: PrecisionContext(bits=10**5),
+        "precision-out-of-domain",
+        id="PrecisionContext(bits=10**5)",
+    ),
+    pytest.param(
+        ["eval", "--y", "2", "--n", "10", "--bits", "1000000"],
+        EXIT_USAGE,
+        id="cli eval --bits 1000000",
+    ),
+    pytest.param(
+        ["approx", "--y", "2", "--n", "10", "--bits", "1025"],
+        EXIT_USAGE,
+        id="cli approx --bits 1025",
+    ),
+    # series orders past their caps, each priced before its loop: theta_3 at
+    # q = 1 - 1e-8 took 2.76 s (K = 98,359), saddle_data at K = 800 6.7 s,
+    # euler_frobenius(2000) 4.0 s
+    pytest.param(
+        lambda: theta3(0, "0.99999999"), "theta-terms-exceeded", id="theta3(0, 1 - 1e-8)"
+    ),
+    pytest.param(
+        lambda: theta3(0, "0.5", eps="1e-1000000000"),
+        "theta-terms-exceeded",
+        id="theta3(0, 0.5, eps=1e-1000000000)",
+    ),
+    pytest.param(
+        lambda: approximation_summary(10, "1e1000000000"),
+        "theta-terms-exceeded",
+        id="approximation_summary(10, '1e1000000000')",
+    ),
+    pytest.param(
+        lambda: rho(10, "1e1000000000"), "theta-terms-exceeded", id="rho(10, '1e1000000000')"
+    ),
+    pytest.param(
+        ["approx", "--y", "1e2000000", "--n", "10", "--bits", "1024"],
+        EXIT_DOMAIN,
+        id="cli approx --y 1e2000000 --bits 1024",
+    ),
+    pytest.param(
+        lambda: saddle_data(10, 2, K=800), "order-cap-exceeded", id="saddle_data(10, 2, K=800)"
+    ),
+    pytest.param(lambda: euler_frobenius(2000), "order-cap-exceeded", id="euler_frobenius(2000)"),
+    pytest.param(
+        lambda: b_closed_form(10, 0.5, 2000),
+        "order-cap-exceeded",
+        id="b_closed_form(10, 0.5, 2000)",
+    ),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),
     pytest.param(grid("--n-factor", "inf"), EXIT_USAGE, id="cli --n-factor inf"),
@@ -325,6 +375,16 @@ def test_long_decimal_y_is_exact_in_exact_mode_and_the_cli(capsys):
     assert eval_exact(3, near_one) == 4 + 3 / yq + 1 / yq**3
     assert cli.main(["eval", "--y", near_one, "--n", "3"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].split()[0] == "3"
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_decimal_y_with_a_huge_exponent_converts_at_once(capsys):
+    # mpmath stripped the 4M trailing zero bits of 10^1200000 eight at a
+    # time on each of ~21 conversions: 33 s for one row
+    start = time.perf_counter()
+    assert cli.main(["approx", "--y", "1e1200000", "--n", "10", "--format", "csv"]) == EXIT_OK
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.splitlines()[1].startswith("10,1.0e+1200000,")
 
 
 @pytest.mark.usefixtures("time_limit")

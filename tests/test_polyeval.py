@@ -533,17 +533,60 @@ class TestCertificate:
         assert len(cert.entries) == 66
         assert all(e.value > 0 for e in cert.entries)
 
-    def test_detects_tampered_closed_form(self, monkeypatch):
-        real = pe.forward_difference
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_detects_tampered_evaluation(self, monkeypatch, m):
+        # f_m off by one on the telescoped side; m = N + R reaches only the
+        # corner (N, R), through R subtractions
+        real = pe.eval_exact
 
-        def crooked(n, r, y):
-            v = real(n, r, y)
-            return v + 1 if (n, r) == (2, 1) else v
+        def crooked(k, y):
+            v = real(k, y)
+            return v + 1 if k == m else v
 
-        monkeypatch.setattr(pe, "forward_difference", crooked)
+        monkeypatch.setattr(pe, "eval_exact", crooked)
         with pytest.raises(ComputationError) as exc:
             pe.certify_absolute_monotonicity(3, 2, 2)
         assert exc.value.code == "monotonicity-violation"
+
+    def test_violation_message_does_not_print_the_values(self, monkeypatch):
+        # the numerators run past 4300 digits, where str(int) raises ValueError
+        y = Fraction(10**40 + 1, 10**40)
+        real = pe.eval_exact
+        monkeypatch.setattr(pe, "eval_exact", lambda k, yq: real(k, yq) * (2 if k == 20 else 1))
+        with pytest.raises(ComputationError) as exc:
+            pe.certify_absolute_monotonicity(10, 10, y)
+        assert exc.value.code == "monotonicity-violation"
+        assert len(str(exc.value)) < 200
+
+    def test_one_evaluation_per_m_and_no_per_entry_kernel_call(self, monkeypatch):
+        calls = []
+        real_sum = pe._exact_sum
+
+        def counted(n, r, y):
+            calls.append((n, r))
+            return real_sum(n, r, y)
+
+        monkeypatch.setattr(pe, "_exact_sum", counted)
+        monkeypatch.setattr(pe, "forward_difference", None)
+        pe.certify_absolute_monotonicity(6, 4, Fraction(3, 2))
+        assert calls == [(m, 0) for m in range(11)]  # N + R + 1 values f_m
+
+    @pytest.mark.parametrize(
+        "y", [Fraction(2), Fraction(3, 2), Fraction(1, 3), Fraction(1), Fraction(9, 4)]
+    )
+    @pytest.mark.parametrize("N, R", [(0, 0), (0, 6), (7, 0), (5, 9), (11, 4)])
+    def test_entries_equal_forward_difference(self, y, N, R):
+        # the table against binary splitting, numerators and denominators
+        cert = certify_absolute_monotonicity(N, R, y)
+        assert [(e.n, e.r) for e in cert.entries] == [
+            (n, r) for n in range(N + 1) for r in range(R + 1)
+        ]
+        for e in cert.entries:
+            want = forward_difference(e.n, e.r, y)
+            assert (e.value.numerator, e.value.denominator) == (
+                want.numerator,
+                want.denominator,
+            )
 
     def test_cap(self):
         with pytest.raises(DomainError) as exc:
