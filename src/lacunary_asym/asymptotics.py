@@ -41,6 +41,7 @@ from .numerics import (
     require_n,
     require_real,
     require_resolved,
+    require_y,
 )
 from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r
@@ -199,13 +200,11 @@ def saddle_data(
         )
 
 
-def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
-    """2 sum_{k=1}^K q^{k^2} cos(2kz) with 2 q^{(K+1)^2}/(1-q) <= eps.
-
-    K is the least with (K+1)^2 >= log(eps (1-q)/2) / log q; that bound is
-    priced before the loop, which then finds K exactly, and a K above
-    THETA_TERMS_CAP is refused (theta-terms-exceeded).  The price is taken
-    in floats, or in mpf where a float underflows or q rounds to 0 or 1."""
+def _price_theta(q: mpf, eps: mpf) -> None:
+    """Refuse a theta_3 sum at nome q and tolerance eps whose order K, the
+    least with (K+1)^2 >= log(eps (1-q)/2) / log q, is above
+    THETA_TERMS_CAP (theta-terms-exceeded).  The price is taken in floats,
+    or in mpf where a float underflows or q rounds to 0 or 1."""
     try:
         need = math.log(eps * (1 - q) / 2) / math.log(q)
     except (ValueError, ZeroDivisionError):
@@ -216,6 +215,12 @@ def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
             f"nome 1 - {mp.nstr(1 - q, 3)} needs ~{mp.nstr(mp.sqrt(need), 3)} terms, "
             f"above the cap {THETA_TERMS_CAP}",
         )
+
+
+def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
+    """2 sum_{k=1}^K q^{k^2} cos(2kz) with 2 q^{(K+1)^2}/(1-q) <= eps.
+
+    The loop finds K exactly; callers price it first (_price_theta)."""
     K = 0
     tail = 2 * q / (1 - q)  # bound for the sum from k = K+1 on
     while tail > eps:
@@ -242,6 +247,7 @@ def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
         if not (0 <= qm < 1):
             raise DomainError("nome-out-of-domain", "need nome q in [0, 1)")
         epsm = ctx.eps if eps is None else as_real(require_eps(eps))
+        _price_theta(qm, epsm)
         osc, K = _theta_oscillation(zm, qm, epsm)
     with ctx.prec():
         return Theta3Result(+(1 + osc), K)
@@ -272,16 +278,22 @@ def approximation_summary(
     """Roots, approximation logs, and theta factor, skipping evaluation.
 
     Cheap at any n (the k-sum of f_n is never touched), which is what the
-    command line uses for large-n sweeps.
+    command line uses for large-n sweeps.  The theta order depends on y
+    alone, so it is priced before the roots are solved.
     """
-    w_root, r_root = _saddle_roots(n, y, ctx)
+    require_real(n, "n-out-of-domain", "n")
+    require_y(y)
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
+        q = mp.exp(-2 * mp.pi**2 / L)
+        _price_theta(q, ctx.eps)
+    w_root, r_root = _saddle_roots(n, y, ctx)
+    with ctx.prec(_GUARD):
         w, r = w_root.t, r_root.t
         log_bdm = _lambert_form(w, L)
         log_pref = _lambert_form(r, L)
-        osc, _ = _theta_oscillation(mp.pi * r / L, mp.exp(-2 * mp.pi**2 / L), ctx.eps)
+        osc, _ = _theta_oscillation(mp.pi * r / L, q, ctx.eps)
     with ctx.prec():
         return ApproxSummary(
             n=n,

@@ -44,12 +44,13 @@ EXACT_BITS_CAP = 10_000_000
 EXACT_DIGITS_CAP = 100_000
 
 # Most bits of working precision a PrecisionContext may carry: every layer's
-# cost grows with it, while the walk and theta budgets count terms only.  The
-# slowest CLI row at the cap, on a shared 2-vCPU x86-64 box, is a walk just
-# inside WALK_TERMS_CAP, eval --y 1.0000023 --n 10000000 (994,654 predicted
-# terms): 3.8-9.4 s with the host's load, 1.2-1.4 s at 128 bits.
-# approximation_summary(10, 2) took 73.6 s at 10^5 bits.  The tests use at
-# most 400 bits.
+# cost grows with it.  The walk's budget counts terms x bits above 128 bits,
+# so eval --y 1.0000023 --n 10000000 (994,654 predicted terms, 3.8-9.4 s at
+# this cap on a shared 2-vCPU x86-64 box, 1.2-1.4 s at 128 bits) is refused
+# here; the theta budget counts terms only.  At the cap quadcheck --y 1e10
+# --n 60 --bits 1024 takes 3.7-3.8 s.
+# approximation_summary(10, 2) took 73.6 s at 10^5 bits.  The tests do work
+# at 400 bits at most.
 PRECISION_BITS_CAP = 1024
 
 Real = Union[int, float, str, Fraction, mpf]

@@ -19,7 +19,7 @@ bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0 with
 n + r <= EXACT_MODE_CAP and C(n+r,2) * max(bits of p, q) <= EXACT_BITS_CAP,
 the float and log paths a finite real y > 1, the regime where the
 term-ratio truncation bound applies, and a walk predicted to fit
-WALK_TERMS_CAP terms.
+WALK_TERMS_CAP terms, priced in terms x bits above 128 bits.
 """
 
 from __future__ import annotations
@@ -57,9 +57,13 @@ EXACT_MODE_CAP = 3000
 # y = 1 + 1e-6.  A term costs 0.8-1.6 us at bits = 128 on a 2-vCPU x86-64 box.
 _LOOP_GUARD = 32
 
-# Most terms the linear walk may be predicted to take: its work budget, about
-# 1 s at the ~1 us per term of the fixed-point walk on a 2-vCPU x86-64 box.
-# The largest prediction in the benchmark workloads is 17,584 (n = 1e5,
+# Most terms the linear walk may be predicted to take at the default 128 bits:
+# its work budget, about 1 s at the ~1 us per term of the fixed-point walk on
+# a 2-vCPU x86-64 box.  A term's cost grows with the bits, so above 128 the
+# budget is terms x (bits + _LOOP_GUARD): 151,515 terms at the 1024-bit cap,
+# where eval --y 1.0000023 --n 10000000 (994,654 terms) took 3.8-9.4 s.  Below
+# 128 bits a term costs about as much, so the term count stays the cap.  The
+# largest prediction in the benchmark workloads is 17,584 (n = 1e5,
 # y = 1.0001), in the tests 71,855 (n = 1e5, y = 1 + 1e-6, bits = 400).
 WALK_TERMS_CAP = 1_000_000
 
@@ -177,7 +181,8 @@ def _term_walk(
     walk stops at the first k where that bound is within eps = 2^-tol of
     the running total.  The sum comes back as a P-bit mpf, the report
     rounded.  Walks predicted (_walk_terms; n + 1 untruncated) to take more
-    than WALK_TERMS_CAP terms are refused before the first.
+    than WALK_TERMS_CAP terms, times 160/(bits + _LOOP_GUARD) above 128
+    bits, are refused before the first.
 
     term and total are Python ints times one shared 2^scale; total stays
     at least 2^(2P) (once it passes 2^(3P), both shift right until it has
@@ -205,11 +210,12 @@ def _term_walk(
         ym = as_real(y)
         L = mp.log(ym)
         terms = _walk_terms(n, float(L), tol) if truncate else n + 1
-        if terms > WALK_TERMS_CAP:
+        work_bits = max(ctx.bits, DEFAULT_CTX.bits) + _LOOP_GUARD
+        if terms * work_bits > WALK_TERMS_CAP * (DEFAULT_CTX.bits + _LOOP_GUARD):
             raise DomainError(
                 "walk-terms-exceeded",
-                f"n={brief(n)} at log y = {mp.nstr(L, 6)} needs ~{brief(terms)} terms, "
-                f"above the cap {WALK_TERMS_CAP}",
+                f"n={brief(n)} at log y = {mp.nstr(L, 6)} needs ~{brief(terms)} terms "
+                f"at {ctx.bits} bits, above the cap {WALK_TERMS_CAP} at {DEFAULT_CTX.bits}",
             )
         _, yman, yexp, ybc = (1 / ym)._mpf_
     yinv, e0 = yman << (P - ybc), yexp - (P - ybc)  # 1/y = yinv 2^e0

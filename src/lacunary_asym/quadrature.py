@@ -11,12 +11,16 @@ plus the plain Gaussian Fourier transform underlying both,
 
 All integrands share the shape  A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n,
 evaluated over uniform grids and summed with a composite trapezoid rule
-under step halving.  No transcendental is evaluated per point: the
-Gaussian advances by two mpf multiplies, and the complex factor runs in
-Python ints (_row_factory): e^{is} and the phase by one fixed-point complex
-multiply each, 1 + c e^{is} by one more, and its n-th power by binary
-powering in block floating point, about 20 us per point at n <= 60 on a
-2-vCPU x86-64 box (CPython 3.11, pure-Python mpmath).
+under step halving.  Each point runs in Python ints (_row_factory), with
+no transcendental and no mpmath number: the Gaussian advances by two
+block-floating-point multiplies, e^{is} and the phase by one fixed-point
+complex multiply each, 1 + c e^{is} by one more, and its n-th power by
+binary powering in block floating point.  A row of the grid is summed
+exactly in ints, its end values halved by their exponents, and rounded
+once.  On a shared 2-vCPU x86-64 box (CPython 3.11, pure-Python mpmath)
+a point costs about 15 us over the quadcheck rows of the benchmark's
+verify workload (n <= 60; 27 us with mpf Gaussians and fsum) and 56-72 us
+at n = 200, y = 100 (86-91 us), setup included.
 
 Working precision is the larger of ctx.bits and ceil(-log2 target_eps),
 raised per call by the known cancellation budget: the integrand mass can
@@ -24,7 +28,8 @@ exceed the result by a factor e^{mass_log - result_log} (worst at k = 30,
 where the answer is ~2^-450 against an O(1) integrand), and flat roundoff
 must stay below the relative target of the result.  The plan (_plan)
 predicts the first pass's points times working bits before any row is
-built and refuses more than QUAD_WORK_CAP (quad-work-exceeded).
+built and refuses more than QUAD_WORK_CAP (quad-work-exceeded); each step
+halving is priced the same way before its row.
 
 The three integrators share one routine, _integrate, and one domain: an
 integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -64,11 +69,15 @@ DEFAULT_TARGET_EPS = "1e-20"
 
 _GUARD = 32
 
-# Most first-pass points times working bits a quadrature may be planned to
-# take: its work budget.  The largest plans in the tests are 4,194,220
-# (integrate_original(200, 100): 4,877 points at 860 bits, 0.55 s on a
-# 2-vCPU x86-64 box) and 292,932 (gaussian_fourier(30, 2)); in the benchmark
-# workloads 76,195 (quadcheck, n = 60, y = 2).
+# Most points times working bits one pass of a quadrature may take: its work
+# budget, priced for the first pass before any row and for each step halving
+# before its row.  The largest plans in the tests are 4,937,270
+# (integrate_original(60, "1e10"): 4,238 points at 1,165 bits, then 4,237 in
+# its one halving) and 4,194,220 (integrate_original(200, 100): 4,877 points
+# at 860 bits, then 4,876); on a shared 2-vCPU x86-64 box they take
+# 0.99-1.12 s and 0.55-0.70 s in all, against 1.30-1.34 s and 0.84-0.89 s
+# with mpf Gaussians and fsum.  In the benchmark workloads the largest is
+# 76,195 (quadcheck, n = 60, y = 2).
 QUAD_WORK_CAP = 10_000_000
 
 
@@ -103,7 +112,7 @@ def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
-        val = _row_factory(L, *coefficients(ym, L), n)(as_real(s), 0, 1)[0]
+        val = _row_factory(L, *coefficients(ym, L), n)(as_real(s), 0, 1)
     with ctx.prec():
         return mpc(+val.real, +val.imag)
 
@@ -156,13 +165,7 @@ def _plan(
     h0 = 2 * math.pi / (band + math.sqrt(2 * need / L) + 4)
     extra = max(0, math.ceil((mass_log - result_log) / math.log(2))) + 8
     panels = max(math.ceil(2 * S / h0), 8)
-    work = (panels + 1) * (bits + _GUARD + extra)
-    if work > QUAD_WORK_CAP:
-        raise DomainError(
-            "quad-work-exceeded",
-            f"{panels + 1} points at {bits + _GUARD + extra} bits, {work} bit-points "
-            f"above the cap {QUAD_WORK_CAP}",
-        )
+    _price(panels + 1, bits + _GUARD + extra)
     return S, panels, extra, mass_log - S * S / (2 * L)
 
 
@@ -171,16 +174,17 @@ def _fixed(z: mpc, wp: int) -> Tuple[int, int]:
     return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
 
 
-def _row_factory(
-    L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int
-) -> Callable[[mpf, mpf, int], List[mpc]]:
-    """Grid evaluator for A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n at the
-    active mpmath precision p: row(s0, h, count) gives the values at
-    s_j = s0 + j h, j < count.
+def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..., mpc]:
+    """Grid summer for A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n at the
+    active mpmath precision p: row(s0, h, count, halve_ends) gives the sum
+    of the values at s_j = s0 + j h, j < count, with the first and the last
+    halved when halve_ends (the trapezoid's end weights).
 
-    The Gaussian factor G_j = A e^{-s_j^2/(2L)} advances by mpf recurrences:
-    G_{j+1} = G_j M_j, M_{j+1} = M_j Q, Q = e^{-h^2/L}.  The complex factor
-    runs in Python ints, u = 2^-wp, wp = p + g:
+    Every point runs in Python ints, u = 2^-wp, wp = p + g:
+    - the Gaussian G_j = A e^{-s_j^2/(2L)} in block floating point, an int
+      mantissa times 2^exponent: G_{j+1} = G_j M_j, M_{j+1} = M_j Q,
+      Q = e^{-h^2/L}, from G_0, M_0 and Q by mp.exp at wp bits, each
+      product shifted right until it has wp bits;
     - W_j = e^{is_j} and the phase e^{i beta s_j} are wp-bit fixed point,
       started from expj at wp bits and advanced by one complex multiply,
       floored;
@@ -190,24 +194,32 @@ def _row_factory(
       point: both parts share one exponent and, after each bit of n, shift
       right until the larger has wp bits.  The ints stay at wp bits for any
       c, and the error stays relative to |z_j|^k, not to a fixed scale.
-    The value G_j z_j^n e^{i beta s_j} is rounded once, to p bits.
+    The value G_j z_j^n e^{i beta s_j} is an exact int times 2^e, and the
+    values are summed exactly: the accumulator shifts left to the lowest
+    exponent it has met, and halving an end value lowers its exponent by
+    one.  The sum is rounded once, to p bits.
 
-    The rounding, relative to G_j (1 + c)^n, which is at most e^{mass_log}
-    (up to the drift of the G recurrence):
+    The error of each value, relative to G_j (1 + c)^n, which is at most
+    e^{mass_log}, with R = |s0| + count h:
+    - G_j: the three exp arguments, at wp bits, put at most
+      3 (|log A| + R^2/L) u into the exponent of G_j; G_j then carries
+      j^2 + j + 1 <= count^2 roundings of under 2 u each, the exps' and
+      the shifts' (one exp and j shifts from the G steps, j exps from M_0,
+      and C(j,2) exps and shifts from the M steps).
     - |W_j - e^{is_j}| <= 8 (j+1) u: expj at wp bits and the floor leave
       under 4.3 u on W_0 and on the step, and each step adds the step's
       error and under 1.5 u of floor.  The phase drifts the same, plus
-      b u, b = |beta| (|s0| + count h), from rounding beta s0 and beta h.
+      |beta| R u from rounding beta s0 and beta h.
     - z_j is off by at most c 8 (j+1) u plus 2.9 (1 + c) u of floor; the
       n-th power multiplies that by n (1 + c)^(n-1), and each of the
       bit_length(n) renormalisations adds under 2.9 u relative to |z_j|^k.
-    With 3n + 3 log2(n+1) <= 8(n+1) and the second-order terms, the sum
-    is at most E u, E = 8 (n+1) (count + 2) + ceil(b).  The guard bits
-    g = bit_length(E) put it below 2^-p; the final rounding adds 2^-p of
-    the value.  So each value is within 2^(1-p) G_j (1 + c)^n of the
-    exact integrand at the same G_j: no more than the rounding of the mpc
-    products this replaced, and inside the budget _GUARD + extra that
-    _integrate reserves for roundoff.
+    With 3n + 3 log2(n+1) <= 8(n+1) and the second-order terms, the sum is
+    at most E u, E = 8 (n+1) (count + 2) + 2 count^2
+    + ceil(|beta| R + 3 |log A| + 3 R^2/L).  The guard bits g = bit_length(E)
+    put it below 2^-p.  So the row is within sum_j 2^-p G_j (1 + c)^n of the
+    exact sum at the exact Gaussian, and the final rounding adds 2^-p of the
+    sum: inside the budget _GUARD + extra that _integrate reserves for
+    roundoff.
     """
     has_phase = beta != 0
     has_power = n != 0 and c != 0
@@ -215,22 +227,26 @@ def _row_factory(
     _, cm, ce, cbc = c._mpf_ if has_power else (0, 0, 0, 0)
     T = max(ce + cbc, 1)
 
-    def row(s0: mpf, h: mpf, count: int) -> List[mpc]:
+    def row(s0: mpf, h: mpf, count: int, halve_ends: bool = False) -> mpc:
         p = mp.prec
-        b = int(mp.ceil(abs(beta) * (abs(s0) + count * h)))
-        wp = p + (8 * (n + 1) * (count + 2) + b).bit_length()
-        G = mp.exp(amp_log - s0 * s0 / (2 * L))
-        M = mp.exp(-s0 * h / L - h * h / (2 * L))
-        Q = mp.exp(-h * h / L)
+        R = abs(s0) + count * h
+        E = 8 * (n + 1) * (count + 2) + 2 * count * count
+        E += int(mp.ceil(abs(beta) * R + 3 * abs(amp_log) + 3 * R * R / L))
+        wp = p + E.bit_length()
         with mp.workprec(wp):
+            _, gm, ge, _ = mp.exp(amp_log - s0 * s0 / (2 * L))._mpf_
+            _, mm, me, _ = mp.exp(-s0 * h / L - h * h / (2 * L))._mpf_
+            _, qm, qe, _ = mp.exp(-h * h / L)._mpf_
             wr, wi = _fixed(mp.expj(s0), wp)
             sr, si = _fixed(mp.expj(h), wp)
             pr, pi = _fixed(mp.expj(beta * s0), wp) if has_phase else (1, 0)
             qr, qi = _fixed(mp.expj(beta * h), wp) if has_phase else (1, 0)
         one = 1 << (wp - T) if wp >= T else 0  # 1 in units 2^T u
         zexp = T - wp
-        out = []
-        for _ in range(count):
+        ends = (0, count - 1) if halve_ends else ()
+        acc_r = acc_i = 0
+        acc_e = None  # the sum is (acc_r + i acc_i) 2^acc_e
+        for j in range(count):
             re, im, e = 1, 0, 0
             if has_power:
                 zr = one + (cm * wr >> (T - ce))
@@ -245,32 +261,54 @@ def _row_factory(
                         re, im, e = re >> d, im >> d, e + d
             if has_phase:
                 re, im, e = re * pr - im * pi, re * pi + im * pr, e - wp
-            _, gm, ge, _ = G._mpf_
-            real = from_man_exp(gm * re, ge + e, p, round_nearest)
-            out.append(mp.make_mpc((real, from_man_exp(gm * im, ge + e, p, round_nearest))))
-            G *= M
-            M *= Q
+            e += ge
+            if j in ends:
+                e -= 1  # the trapezoid's end weight 1/2, exactly
+            if acc_e is None:
+                acc_e = e
+            elif e < acc_e:
+                acc_r, acc_i, acc_e = acc_r << (acc_e - e), acc_i << (acc_e - e), e
+            acc_r += gm * re << (e - acc_e)
+            acc_i += gm * im << (e - acc_e)
+            gm, ge = gm * mm, ge + me
+            d = gm.bit_length() - wp
+            if d > 0:
+                gm, ge = gm >> d, ge + d
+            mm, me = mm * qm, me + qe
+            d = mm.bit_length() - wp
+            if d > 0:
+                mm, me = mm >> d, me + d
             wr, wi = (wr * sr - wi * si) >> wp, (wr * si + wi * sr) >> wp
             if has_phase:
                 pr, pi = (pr * qr - pi * qi) >> wp, (pr * qi + pi * qr) >> wp
-        return out
+        real = from_man_exp(acc_r, acc_e, p, round_nearest)
+        return mp.make_mpc((real, from_man_exp(acc_i, acc_e, p, round_nearest)))
 
     return row
 
 
+def _price(points: int, wp: int) -> None:
+    """Refuse a pass of points at wp bits above QUAD_WORK_CAP of their
+    product (quad-work-exceeded)."""
+    work = points * wp
+    if work > QUAD_WORK_CAP:
+        raise DomainError(
+            "quad-work-exceeded",
+            f"{points} points at {wp} bits, {work} bit-points above the cap {QUAD_WORK_CAP}",
+        )
+
+
 def _trapezoid(
-    row: Callable[[mpf, mpf, int], List[mpc]],
-    S: mpf,
-    panels: int,
-    rel_tol: mpf,
+    row: Callable[..., mpc], S: mpf, panels: int, rel_tol: mpf
 ) -> Tuple[mpc, mpf, int, mpf]:
+    """Composite trapezoid over [-S, S] under step halving, at the active
+    precision; each halving round is priced (_price) before its row."""
     h = 2 * S / panels
-    vals = row(-S, h, panels + 1)
-    T = h * (mp.fsum(vals) - (vals[0] + vals[-1]) / 2)
+    T = h * row(-S, h, panels + 1, True)
     last_diff = mpf("inf")
     for _ in range(MAX_HALVINGS):
-        mids = row(-S + h / 2, h, panels)
-        Tn = T / 2 + (h / 2) * mp.fsum(mids)
+        _price(panels, mp.prec)
+        Tn = T / 2 + (h / 2) * row(-S + h / 2, h, panels)
         h /= 2
         panels *= 2
         last_diff = abs(Tn - T)

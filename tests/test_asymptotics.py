@@ -33,6 +33,7 @@ from lacunary_asym import (
     solve_w,
     theta3,
 )
+from lacunary_asym import asymptotics
 
 # 400-bit reference digits, frozen.
 R_2_2 = "0.604312801713753697777079000676161532165267546"
@@ -326,6 +327,23 @@ class TestApproximationSummary:
         # no k-sum involved: 10^9 must be instant and ordered sensibly
         s = approximation_summary(10**9, 2, ctx)
         assert s.log_bdm > s.log_thm_prefactor > 0
+
+    def test_theta_priced_before_the_roots(self, monkeypatch):
+        # the nome depends on y alone: a refused theta order solved both
+        # roots first; invalid n and y still get their own codes first
+        def no_roots(*args):
+            raise AssertionError("the roots were solved")
+
+        monkeypatch.setattr(asymptotics, "_saddle_roots", no_roots)
+        ctx = PrecisionContext(bits=1024)
+        for n, y, code in (
+            (10, "1e2999999", "theta-terms-exceeded"),
+            (0, "1e2999999", "n-out-of-domain"),
+            (10, 1, "y-out-of-domain"),
+        ):
+            with pytest.raises(DomainError) as exc:
+                approximation_summary(n, y, ctx)
+            assert exc.value.code == code
 
 
 class TestApproxTheorem:

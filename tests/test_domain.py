@@ -201,6 +201,13 @@ CASES = [
         EXIT_DOMAIN,
         id="cli eval --y 1.000000001 --n 1000000000",
     ),
+    # priced in terms x bits above 128 bits: 994,654 terms at 1024 bits took
+    # 3.8-9.4 s, and are admitted at 128 bits (1.2-1.4 s)
+    pytest.param(
+        ["eval", "--y", "1.0000023", "--n", "10000000", "--bits", "1024"],
+        EXIT_DOMAIN,
+        id="cli eval --y 1.0000023 --n 10000000 --bits 1024",
+    ),
     pytest.param(
         ["compare", "--y", "1.000000001", "--n", "1000000000"],
         EXIT_DOMAIN,
@@ -309,6 +316,12 @@ CASES = [
         ["approx", "--y", "1e2000000", "--n", "10", "--bits", "1024"],
         EXIT_DOMAIN,
         id="cli approx --y 1e2000000 --bits 1024",
+    ),
+    # theta is priced before the two root solves; the row's time is the parse of y
+    pytest.param(
+        ["approx", "--y", "1e2999999", "--n", "10", "--bits", "1024"],
+        EXIT_DOMAIN,
+        id="cli approx --y 1e2999999 --bits 1024",
     ),
     pytest.param(
         lambda: saddle_data(10, 2, K=800), "order-cap-exceeded", id="saddle_data(10, 2, K=800)"

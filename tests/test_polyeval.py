@@ -308,9 +308,11 @@ class TestWalkBudget:
 
     def test_untruncated_walk_counts_every_term(self, ctx):
         eval_log(1000, 2, ctx, truncate=False)
-        with pytest.raises(DomainError) as exc:
-            eval_log(WALK_TERMS_CAP, 2, ctx, truncate=False)
-        assert exc.value.code == "walk-terms-exceeded"
+        # terms x (bits + 32) above 128 bits; the term count alone below
+        for bits, n in ((128, WALK_TERMS_CAP), (53, WALK_TERMS_CAP), (1024, 151_515)):
+            with pytest.raises(DomainError) as exc:
+                eval_log(n, 2, PrecisionContext(bits=bits), truncate=False)
+            assert exc.value.code == "walk-terms-exceeded"
 
 
 def reference_walk(n: int, y, ctx: PrecisionContext, truncate: bool):

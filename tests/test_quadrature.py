@@ -4,10 +4,12 @@ Oracles: closed-form integrand values at special points, the integrand
 written as one principal-log exponential at 300 bits, exact rational
 f_n(1/y) from eval_exact, the Gaussian Fourier transform y^{-k^2/2},
 agreement between the two independent contour representations, and the
-mpc row evaluator that the integer one replaced (reference_row).
+mpc row evaluator that the integer one replaced (reference_row), summed as
+the trapezoid summed its value lists (summed_rows).
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -261,10 +263,10 @@ class TestGaussianFourier:
         assert exc.value.code == "y-out-of-domain"
 
 
-def reference_row(L, amp_log, beta, c, n):
+def reference_row(L, amp_log, beta, c, n, power=pow):
     """The mpc row evaluator that the integer one replaced: the same
     Gaussian recurrences, with e^{is} and the phase advanced in mpc and the
-    power taken by mpc ** int, all at the active precision."""
+    power taken by mpc ** int (or by power), all at the active precision."""
     has_phase = beta != 0
     has_power = n != 0 and c != 0
 
@@ -280,7 +282,7 @@ def reference_row(L, amp_log, beta, c, n):
         for _ in range(count):
             v = G * P
             if has_power:
-                v = v * (1 + c * W) ** n
+                v = v * power(1 + c * W, n)
             out.append(v)
             G *= M
             M *= Q
@@ -290,6 +292,23 @@ def reference_row(L, amp_log, beta, c, n):
         return out
 
     return row
+
+
+def summed_rows(factory):
+    """factory with each row of values summed as the trapezoid summed the
+    lists of reference_row: mp.fsum, less half of each end value when the
+    ends are halved."""
+
+    def make(*args):
+        row = factory(*args)
+
+        def total(s0, h, count, halve_ends=False):
+            vals = row(s0, h, count)
+            return mp.fsum(vals) - ((vals[0] + vals[-1]) / 2 if halve_ends else 0)
+
+        return total
+
+    return make
 
 
 INTEGRATORS = {"original": integrate_original, "shifted": integrate_shifted}
@@ -323,7 +342,7 @@ def run(name, n, y, bits):
 def test_integer_row_gives_the_reference_results(monkeypatch, name, n, y, bits):
     # arithmetic below the working precision leaves every rounded result as it was
     got = run(name, n, y, bits)
-    monkeypatch.setattr(qd, "_row_factory", reference_row)
+    monkeypatch.setattr(qd, "_row_factory", summed_rows(reference_row))
     want = run(name, n, y, bits)
     assert (got.value, got.step, got.panels, got.truncation_bound) == (
         want.value,
@@ -334,18 +353,18 @@ def test_integer_row_gives_the_reference_results(monkeypatch, name, n, y, bits):
 
 
 def recorded_rows(monkeypatch, name, n, y):
-    """Every row the quadrature (name, n, y) evaluates, with the factory's
-    arguments and the precision it ran at."""
+    """Every row the quadrature (name, n, y) sums, with the factory's
+    arguments, the precision it ran at and its sum."""
     rows = []
     factory = qd._row_factory
 
     def recording(*args):
         row = factory(*args)
 
-        def record(s0, h, count):
-            out = row(s0, h, count)
-            rows.append((args, mp.prec, s0, h, count, out))
-            return out
+        def record(s0, h, count, halve_ends=False):
+            total = row(s0, h, count, halve_ends)
+            rows.append((args, mp.prec, s0, h, count, halve_ends, total))
+            return total
 
         return record
 
@@ -366,28 +385,54 @@ ROW_CASES = [
 ]
 
 
+def power_by_squaring(z, n):
+    """z^n by binary powering in mpc at the active precision, relative error
+    about n 2^-prec: mpc ** int takes exp and log, much slower, once n times
+    the precision passes 10,000 bits."""
+    out = mpc(1)
+    while n:
+        if n & 1:
+            out *= z
+        z *= z
+        n >>= 1
+    return out
+
+
 @pytest.mark.parametrize("name, n, y", ROW_CASES)
 def test_row_values_within_the_rounding_bound(monkeypatch, name, n, y):
-    # each value is within 2^(1-p) G_j (1 + c)^n of G_j e^{i beta s_j}
-    # (1 + c e^{is_j})^n, G_j the row's own Gaussian recurrence at p bits
-    for (L, amp_log, beta, c, n_), p, s0, h, count, out in recorded_rows(
+    # each row sum is within sum_j 2^(1-p) G_j (1 + c)^n of the exact sum of
+    # G_j e^{i beta s_j} (1 + c e^{is_j})^n, G_j the exact Gaussian, plus
+    # 2^-p of the sum for its one rounding; p + 64 bits stand in for exact
+    exact = summed_rows(partial(reference_row, power=power_by_squaring))
+    for (L, amp_log, beta, c, n_), p, s0, h, count, halve_ends, total in recorded_rows(
         monkeypatch, name, n, y
     ):
-        with mp.workprec(p):
-            G = mp.exp(amp_log - s0 * s0 / (2 * L))
-            M = mp.exp(-s0 * h / L - h * h / (2 * L))
-            Q = mp.exp(-h * h / L)
-            gauss = []
-            for _ in range(count):
-                gauss.append(G)
-                G *= M
-                M *= Q
         with mp.workprec(p + 64):
-            for j in range(0, count, max(1, count // 150)):
-                s = s0 + j * h
-                want = gauss[j] * mp.expj(beta * s) * (1 + c * mp.expj(s)) ** n_
-                bound = gauss[j] * (1 + c) ** n_ * mpf(2) ** (1 - p) * (1 + mpf(2) ** -20)
-                assert abs(out[j] - want) <= bound, (j, count)
+            want = exact(L, amp_log, beta, c, n_)(s0, h, count, halve_ends)
+            gauss = exact(L, amp_log, 0, 0, 0)(s0, h, count).real
+            bound = gauss * (1 + c) ** n_ * mpf(2) ** (1 - p) * (1 + mpf(2) ** -20)
+            assert abs(total - want) <= bound + mpf(2) ** -p * abs(want), (s0, count)
+
+
+@pytest.mark.parametrize("s", ["0", "0.5", "-1.3", "2.9", "17.25"])
+def test_points_are_the_reference_value_rounded_twice(ctx, s):
+    # _point rounds the row's exact value to ctx.bits + _GUARD bits, then to ctx
+    r = mpf("1.2")
+    for got, n, y, coefficients in (
+        (integrand_original(s, 60, 2, ctx), 60, 2, qd._original),
+        (psi_exp(s, 40, "1.5", r, ctx), 40, "1.5", qd._shifted(r)),
+    ):
+        with ctx.prec(qd._GUARD):
+            p = mp.prec
+            ym, sm = mpf(y), mpf(s)
+            L = mp.log(ym)
+            args = coefficients(ym, L)
+        with mp.workprec(p + 64):
+            want = reference_row(L, *args, n)(sm, 0, 1)[0]
+        with mp.workprec(p):
+            want = +want
+        with ctx.prec():
+            assert got == mpc(+want.real, +want.imag), (n, y, s)
 
 
 class TestWorkBudget:
@@ -426,3 +471,18 @@ class TestStallGuard:
         with pytest.raises(ComputationError) as exc:
             integrate_original(5, 2, ctx)
         assert exc.value.code == "quadrature-stalled"
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_every_halving_is_priced(self, ctx, monkeypatch):
+        # adding 1 per point keeps each halving's difference near h/2, so the
+        # rounds never converge: 20 of them doubled the row to 63 million points
+        factory = qd._row_factory
+
+        def never_converging(*args):
+            row = factory(*args)
+            return lambda s0, h, count, *ends: row(s0, h, count, *ends) + count
+
+        monkeypatch.setattr(qd, "_row_factory", never_converging)
+        with pytest.raises(DomainError) as exc:
+            integrate_original(5, 2, ctx)
+        assert exc.value.code == "quad-work-exceeded"
