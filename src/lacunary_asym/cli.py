@@ -359,8 +359,7 @@ def _config_echo(config: RunConfig) -> Dict[str, object]:
 
 def _emit_json(config: RunConfig, key: str, body: object, stream: TextIO) -> None:
     payload = {"config": _config_echo(config), key: body, "tool_version": __version__}
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _digits(value: int) -> str:
@@ -371,10 +370,13 @@ def _digits(value: int) -> str:
 
 def _run_monotone(config: RunConfig, stream: TextIO) -> int:
     cert = certify_absolute_monotonicity(config.N, config.R, config.y)
-    rows = [
-        {"n": e.n, "r": e.r, "value": f"{_digits(e.value.numerator)}/{_digits(e.value.denominator)}"}
-        for e in cert.entries
-    ]
+    dens: Dict[int, str] = {}  # the digits of p^C(m,2), the denominator at n + r = m
+    rows = []
+    for e in cert.entries:
+        m = e.n + e.r
+        if m not in dens:
+            dens[m] = _digits(e.value.denominator)
+        rows.append({"n": e.n, "r": e.r, "value": f"{_digits(e.value.numerator)}/{dens[m]}"})
     certificate = {
         "y": config.y_raw,
         "N": cert.N,

@@ -48,7 +48,7 @@ EXACT_DIGITS_CAP = 100_000
 # so eval --y 1.0000023 --n 10000000 (994,654 predicted terms, 3.8-9.4 s at
 # this cap on a shared 2-vCPU x86-64 box, 1.2-1.4 s at 128 bits) is refused
 # here; the theta budget counts terms only.  At the cap quadcheck --y 1e10
-# --n 60 --bits 1024 takes 3.7-3.8 s.
+# --n 60 --bits 1024 takes 1.2-1.3 s.
 # approximation_summary(10, 2) took 73.6 s at 10^5 bits.  The tests do work
 # at 400 bits at most.
 PRECISION_BITS_CAP = 1024

@@ -10,17 +10,20 @@ plus the plain Gaussian Fourier transform underlying both,
     (2 pi log y)^{-1/2} Int exp(-s^2/(2 log y) + iks) ds = y^{-k^2/2}.
 
 All integrands share the shape  A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n,
-evaluated over uniform grids and summed with a composite trapezoid rule
-under step halving.  Each point runs in Python ints (_row_factory), with
-no transcendental and no mpmath number: the Gaussian advances by two
-block-floating-point multiplies, e^{is} and the phase by one fixed-point
-complex multiply each, 1 + c e^{is} by one more, and its n-th power by
-binary powering in block floating point.  A row of the grid is summed
-exactly in ints, its end values halved by their exponents, and rounded
-once.  On a shared 2-vCPU x86-64 box (CPython 3.11, pure-Python mpmath)
-a point costs about 15 us over the quadcheck rows of the benchmark's
-verify workload (n <= 60; 27 us with mpf Gaussians and fsum) and 56-72 us
-at n = 200, y = 100 (86-91 us), setup included.
+with real log A, beta and c, so f(-s) = conj f(s).  They are summed with a
+composite trapezoid rule under step halving over uniform grids symmetric
+about 0, and each row evaluates only its nodes with s >= 0 and takes twice
+the real part of their sum: a pass over P panels evaluates P/2 + 1 points
+or fewer, against the P + 1 of the whole grid.  Each point runs in Python
+ints (_row_factory), with no transcendental and no mpmath number: the
+Gaussian advances by two block-floating-point multiplies, e^{is} and the
+phase by one fixed-point complex multiply each, 1 + c e^{is} by one more,
+and its n-th power by binary powering in block floating point.  A row is
+summed exactly in ints, its end values halved by their exponents, and
+rounded once.  On a shared 2-vCPU x86-64 box (CPython 3.11, pure-Python
+mpmath) an evaluated point costs about 19 us over the quadcheck rows of
+the benchmark's verify workload (n <= 60) and 49-53 us at n = 200,
+y = 100 (860 working bits), setup included.
 
 Working precision is the larger of ctx.bits and ceil(-log2 target_eps),
 raised per call by the known cancellation budget: the integrand mass can
@@ -71,13 +74,14 @@ _GUARD = 32
 
 # Most points times working bits one pass of a quadrature may take: its work
 # budget, priced for the first pass before any row and for each step halving
-# before its row.  The largest plans in the tests are 4,937,270
-# (integrate_original(60, "1e10"): 4,238 points at 1,165 bits, then 4,237 in
-# its one halving) and 4,194,220 (integrate_original(200, 100): 4,877 points
-# at 860 bits, then 4,876); on a shared 2-vCPU x86-64 box they take
-# 0.99-1.12 s and 0.55-0.70 s in all, against 1.30-1.34 s and 0.84-0.89 s
-# with mpf Gaussians and fsum.  In the benchmark workloads the largest is
-# 76,195 (quadcheck, n = 60, y = 2).
+# before its row.  The price counts the whole grid over [-S, S], though the
+# rows evaluate only its nodes with s >= 0.  The largest plans in the tests
+# are 4,937,270 (integrate_original(60, "1e10"): 4,238 points at 1,165 bits,
+# then 4,237 in its one halving) and 4,194,220 (integrate_original(200, 100):
+# 4,877 points at 860 bits, then 4,876); on a shared 2-vCPU x86-64 box they
+# take 0.38-0.42 s and 0.24-0.26 s in all, against 1.09-1.11 s and
+# 0.70-0.76 s when the rows evaluated the whole grid.  In the benchmark
+# workloads the largest is 76,195 (quadcheck, n = 60, y = 2).
 QUAD_WORK_CAP = 10_000_000
 
 
@@ -87,7 +91,6 @@ class QuadratureResult:
     truncation_bound: mpf
     step: mpf
     panels: int
-    imag_residual: mpf
     last_halving_diff: mpf  # |T_h - T_2h| of the last step halving, scaled as value
     extra_bits: int  # bits above the working precision against cancellation
 
@@ -157,8 +160,9 @@ def _plan(
     Tail cut: e^{mass_log - S^2/(2L)} <= eps_abs e^-5; alias cut: grid
     Nyquist 2 pi/h beyond band + Gaussian spectral width at eps_abs.
 
-    The first pass sums panels + 1 points at bits + _GUARD + extra bits;
-    above QUAD_WORK_CAP of their product: DomainError("quad-work-exceeded").
+    The first pass's grid has panels + 1 points (its row evaluates about
+    half of them) at bits + _GUARD + extra bits; above QUAD_WORK_CAP of
+    their product: DomainError("quad-work-exceeded").
     """
     need = max(0.0, mass_log - (result_log + log_eps))  # a target above the mass needs no cut
     S = math.sqrt(2 * L * (need + 5))
@@ -176,9 +180,12 @@ def _fixed(z: mpc, wp: int) -> Tuple[int, int]:
 
 def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..., mpc]:
     """Grid summer for A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n at the
-    active mpmath precision p: row(s0, h, count, halve_ends) gives the sum
-    of the values at s_j = s0 + j h, j < count, with the first and the last
-    halved when halve_ends (the trapezoid's end weights).
+    active mpmath precision p: row(s0, h, count, halve_first, halve_last)
+    gives the sum of the values at s_j = s0 + j h, j < count, with the first
+    value, the last or both weighted 1/2 (the trapezoid's end weights).
+    With log A, beta and c real the integrand f has f(-s) = conj f(s), so
+    _trapezoid asks only for the nodes s_j >= 0 of its grid, which is
+    symmetric about 0, and doubles the real part.
 
     Every point runs in Python ints, u = 2^-wp, wp = p + g:
     - the Gaussian G_j = A e^{-s_j^2/(2L)} in block floating point, an int
@@ -227,7 +234,9 @@ def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..
     _, cm, ce, cbc = c._mpf_ if has_power else (0, 0, 0, 0)
     T = max(ce + cbc, 1)
 
-    def row(s0: mpf, h: mpf, count: int, halve_ends: bool = False) -> mpc:
+    def row(
+        s0: mpf, h: mpf, count: int, halve_first: bool = False, halve_last: bool = False
+    ) -> mpc:
         p = mp.prec
         R = abs(s0) + count * h
         E = 8 * (n + 1) * (count + 2) + 2 * count * count
@@ -243,7 +252,7 @@ def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..
             qr, qi = _fixed(mp.expj(beta * h), wp) if has_phase else (1, 0)
         one = 1 << (wp - T) if wp >= T else 0  # 1 in units 2^T u
         zexp = T - wp
-        ends = (0, count - 1) if halve_ends else ()
+        ends = [j for j, halve in ((0, halve_first), (count - 1, halve_last)) if halve]
         acc_r = acc_i = 0
         acc_e = None  # the sum is (acc_r + i acc_i) 2^acc_e
         for j in range(count):
@@ -300,17 +309,31 @@ def _price(points: int, wp: int) -> None:
 
 def _trapezoid(
     row: Callable[..., mpc], S: mpf, panels: int, rel_tol: mpf
-) -> Tuple[mpc, mpf, int, mpf]:
+) -> Tuple[mpf, mpf, int, mpf]:
     """Composite trapezoid over [-S, S] under step halving, at the active
-    precision; each halving round is priced (_price) before its row."""
+    precision; each halving round is priced (_price) before its row.
+
+    The integrand is Hermitian, f(-s) = conj f(s) (real log A, beta and c),
+    and every grid is symmetric about 0, so each row sums only the nodes
+    s >= 0 and the round takes 2 Re of that sum; a node at 0 is its own
+    mirror and weighs 1/2.  With P panels of width h = 2S/P, those nodes are
+    - first pass, even P: 0, h, ..., S, both ends halved;
+    - first pass, odd P: h/2, ..., S, S halved;
+    - halving, even P: h/2, ..., S - h/2;
+    - halving, odd P: 0, h, ..., S - h/2, 0 halved.
+    P is even after the first halving.  _price still prices the whole grid.
+    """
     h = 2 * S / panels
-    T = h * row(-S, h, panels + 1, True)
+    odd, half = panels % 2, panels // 2
+    T = 2 * h * row(h / 2 if odd else mpf(0), h, half + 1, not odd, True).real
     last_diff = mpf("inf")
     for _ in range(MAX_HALVINGS):
         _price(panels, mp.prec)
-        Tn = T / 2 + (h / 2) * row(-S + h / 2, h, panels)
+        mid = row(mpf(0) if odd else h / 2, h, half + odd, bool(odd)).real
+        Tn = T / 2 + h * mid
         h /= 2
         panels *= 2
+        odd, half = 0, panels // 2
         last_diff = abs(Tn - T)
         T = Tn
         if last_diff <= rel_tol * abs(T):
@@ -356,10 +379,10 @@ def _integrate(
         T, h, panels, diff = _trapezoid(row, mpf(S), panels, eps)
     with mp.workprec(bits + _GUARD):
         norm = mp.sqrt(2 * mp.pi * mp.log(as_real(y)))
-        value, imag_res, diff = T.real / norm, abs(T.imag) / norm, diff / norm
+        value, diff = T / norm, diff / norm
         bound = mp.exp(mpf(trunc_log))
     with ctx.prec():
-        return QuadratureResult(+value, +bound, +h, panels, +imag_res, +diff, extra_bits)
+        return QuadratureResult(+value, +bound, +h, panels, +diff, extra_bits)
 
 
 def integrate_original(

@@ -5,9 +5,11 @@ written as one principal-log exponential at 300 bits, exact rational
 f_n(1/y) from eval_exact, the Gaussian Fourier transform y^{-k^2/2},
 agreement between the two independent contour representations, and the
 mpc row evaluator that the integer one replaced (reference_row), summed as
-the trapezoid summed its value lists (summed_rows).
+the trapezoid summed its value lists (summed_rows), and the schedule over
+the whole grid [-S, S] that the half-grid rows replaced (full_grid_trapezoid).
 """
 
+import itertools
 from fractions import Fraction
 from functools import partial
 
@@ -165,7 +167,6 @@ class TestIntegrateOriginal:
         exact = eval_exact(6, 2)
         with mp.workprec(200):
             scale = mpf(exact.numerator) / exact.denominator
-            assert res.imag_residual <= mpf("1e-20") * scale
             assert res.truncation_bound <= mpf("1e-20") * scale
 
     def test_last_halving_diff_is_the_stopping_evidence(self, ctx):
@@ -296,15 +297,16 @@ def reference_row(L, amp_log, beta, c, n, power=pow):
 
 def summed_rows(factory):
     """factory with each row of values summed as the trapezoid summed the
-    lists of reference_row: mp.fsum, less half of each end value when the
-    ends are halved."""
+    lists of reference_row: mp.fsum, less half of each end value that is
+    halved."""
 
     def make(*args):
         row = factory(*args)
 
-        def total(s0, h, count, halve_ends=False):
+        def total(s0, h, count, halve_first=False, halve_last=False):
             vals = row(s0, h, count)
-            return mp.fsum(vals) - ((vals[0] + vals[-1]) / 2 if halve_ends else 0)
+            ends = [v for v, halve in ((vals[0], halve_first), (vals[-1], halve_last)) if halve]
+            return mp.fsum(vals) - mp.fsum(ends) / 2
 
         return total
 
@@ -338,39 +340,61 @@ def run(name, n, y, bits):
     return integrate(n, y, PrecisionContext(bits=bits))
 
 
+def rounded_fields(res):
+    return res.value, res.step, res.panels, res.truncation_bound
+
+
 @pytest.mark.parametrize("name, n, y, bits", REFERENCE_GRID)
 def test_integer_row_gives_the_reference_results(monkeypatch, name, n, y, bits):
     # arithmetic below the working precision leaves every rounded result as it was
     got = run(name, n, y, bits)
     monkeypatch.setattr(qd, "_row_factory", summed_rows(reference_row))
-    want = run(name, n, y, bits)
-    assert (got.value, got.step, got.panels, got.truncation_bound) == (
-        want.value,
-        want.step,
-        want.panels,
-        want.truncation_bound,
-    )
+    assert rounded_fields(got) == rounded_fields(run(name, n, y, bits))
+
+
+def full_grid_trapezoid(row, S, panels, rel_tol):
+    """The trapezoid schedule before the fold: every node of [-S, S], both
+    halves of each grid, summed by the same row; its value is the real part."""
+    h = 2 * S / panels
+    T = h * row(-S, h, panels + 1, True, True)
+    for _ in range(qd.MAX_HALVINGS):
+        Tn = T / 2 + (h / 2) * row(-S + h / 2, h, panels)
+        h /= 2
+        panels *= 2
+        last_diff = abs(Tn - T)
+        T = Tn
+        if last_diff <= rel_tol * abs(T):
+            return T.real, h, panels, last_diff
+    raise AssertionError("the full grid did not converge")
+
+
+@pytest.mark.parametrize("name, n, y, bits", REFERENCE_GRID)
+def test_folded_rows_give_the_full_grid_results(monkeypatch, name, n, y, bits):
+    # 2 Re of the half row with s >= 0 is the full row's sum up to roundoff
+    got = run(name, n, y, bits)
+    monkeypatch.setattr(qd, "_trapezoid", full_grid_trapezoid)
+    assert rounded_fields(got) == rounded_fields(run(name, n, y, bits))
 
 
 def recorded_rows(monkeypatch, name, n, y):
     """Every row the quadrature (name, n, y) sums, with the factory's
-    arguments, the precision it ran at and its sum."""
+    arguments, the precision it ran at, its end weights and its sum; and the
+    quadrature's result."""
     rows = []
     factory = qd._row_factory
 
     def recording(*args):
         row = factory(*args)
 
-        def record(s0, h, count, halve_ends=False):
-            total = row(s0, h, count, halve_ends)
-            rows.append((args, mp.prec, s0, h, count, halve_ends, total))
+        def record(s0, h, count, halve_first=False, halve_last=False):
+            total = row(s0, h, count, halve_first, halve_last)
+            rows.append((args, mp.prec, s0, h, count, (halve_first, halve_last), total))
             return total
 
         return record
 
     monkeypatch.setattr(qd, "_row_factory", recording)
-    run(name, n, y, 128)
-    return rows
+    return rows, run(name, n, y, 128)
 
 
 # the largest plan in the tests (200, 100), a huge c (1e10), c near 1 and a
@@ -404,14 +428,27 @@ def test_row_values_within_the_rounding_bound(monkeypatch, name, n, y):
     # G_j e^{i beta s_j} (1 + c e^{is_j})^n, G_j the exact Gaussian, plus
     # 2^-p of the sum for its one rounding; p + 64 bits stand in for exact
     exact = summed_rows(partial(reference_row, power=power_by_squaring))
-    for (L, amp_log, beta, c, n_), p, s0, h, count, halve_ends, total in recorded_rows(
-        monkeypatch, name, n, y
-    ):
+    rows, _ = recorded_rows(monkeypatch, name, n, y)
+    for (L, amp_log, beta, c, n_), p, s0, h, count, ends, total in rows:
         with mp.workprec(p + 64):
-            want = exact(L, amp_log, beta, c, n_)(s0, h, count, halve_ends)
+            want = exact(L, amp_log, beta, c, n_)(s0, h, count, *ends)
             gauss = exact(L, amp_log, 0, 0, 0)(s0, h, count).real
             bound = gauss * (1 + c) ** n_ * mpf(2) ** (1 - p) * (1 + mpf(2) ** -20)
             assert abs(total - want) <= bound + mpf(2) ** -p * abs(want), (s0, count)
+
+
+@pytest.mark.parametrize("name, n, y", ROW_CASES)
+def test_rows_take_half_the_grid(monkeypatch, name, n, y):
+    # the final grid has panels + 1 nodes over [-S, S], which the first pass
+    # and the halvings visit once each; the rows visit its panels / 2 + 1
+    # nodes in [0, S] once each and no node past S
+    rows, res = recorded_rows(monkeypatch, name, n, y)
+    (_, _, s0, h, count, _, _) = rows[0]
+    S = s0 + (count - 1) * h
+    for _, p, s0, h, count, _, _ in rows:
+        with mp.workprec(p):
+            assert 0 <= s0 and s0 + (count - 1) * h <= S + h / 4  # roundoff
+    assert sum(row[4] for row in rows) == res.panels // 2 + 1
 
 
 @pytest.mark.parametrize("s", ["0", "0.5", "-1.3", "2.9", "17.25"])
@@ -474,13 +511,15 @@ class TestStallGuard:
 
     @pytest.mark.usefixtures("time_limit")
     def test_every_halving_is_priced(self, ctx, monkeypatch):
-        # adding 1 per point keeps each halving's difference near h/2, so the
-        # rounds never converge: 20 of them doubled the row to 63 million points
+        # adding k/h^2 to the k-th row adds k/h to its round, so each halving's
+        # difference grows like 1/h and the rounds never converge: 20 of them
+        # would grow the last row to 15 million points
         factory = qd._row_factory
 
         def never_converging(*args):
             row = factory(*args)
-            return lambda s0, h, count, *ends: row(s0, h, count, *ends) + count
+            calls = itertools.count()
+            return lambda s0, h, count, *ends: row(s0, h, count, *ends) + next(calls) / (h * h)
 
         monkeypatch.setattr(qd, "_row_factory", never_converging)
         with pytest.raises(DomainError) as exc:
