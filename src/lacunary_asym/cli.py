@@ -357,9 +357,9 @@ def _config_echo(config: RunConfig) -> Dict[str, object]:
     return echo
 
 
-def _emit_json(config: RunConfig, key: str, body: object, stream: TextIO) -> None:
+def _json_text(config: RunConfig, key: str, body: object) -> str:
     payload = {"config": _config_echo(config), key: body, "tool_version": __version__}
-    stream.write(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _digits(value: int) -> str:
@@ -368,24 +368,34 @@ def _digits(value: int) -> str:
     return str(Decimal(value))
 
 
+# A certificate entry as json.dumps(indent=2) lays it out at its depth in the
+# payload; its fields are ints and digit strings, so nothing needs escaping.
+_ENTRY = '      {\n        "n": %d,\n        "r": %d,\n        "value": "%s/%s"\n      }'
+_ENTRIES_SLOT = '"entries": "@entries@"'
+
+
 def _run_monotone(config: RunConfig, stream: TextIO) -> int:
     cert = certify_absolute_monotonicity(config.N, config.R, config.y)
     dens: Dict[int, str] = {}  # the digits of p^C(m,2), the denominator at n + r = m
-    rows = []
+    entries = []
     for e in cert.entries:
         m = e.n + e.r
         if m not in dens:
             dens[m] = _digits(e.value.denominator)
-        rows.append({"n": e.n, "r": e.r, "value": f"{_digits(e.value.numerator)}/{dens[m]}"})
+        entries.append(_ENTRY % (e.n, e.r, _digits(e.value.numerator), dens[m]))
     certificate = {
         "y": config.y_raw,
         "N": cert.N,
         "R": cert.R,
-        "entries": rows,
+        "entries": "@entries@",
         "verified_against_telescoping": True,
         "all_positive": True,
     }
-    _emit_json(config, "certificate", certificate, stream)
+    # the slot occurs once: every quote inside a JSON string is escaped
+    head, tail = _json_text(config, "certificate", certificate).split(_ENTRIES_SLOT)
+    stream.write(f'{head}"entries": [\n')
+    stream.write(",\n".join(entries))
+    stream.write(f"\n    ]{tail}")
     return EXIT_OK
 
 
@@ -403,7 +413,7 @@ def run(config: RunConfig, stream: TextIO) -> int:
     if config.output_format == "csv":
         _emit_csv(command.fields, rows, stream)
     elif config.output_format == "json":
-        _emit_json(config, "rows", rows, stream)
+        stream.write(_json_text(config, "rows", rows))
     else:
         _emit_table(command.fields, rows, stream)
     if any(row.get("status") == "FAIL" for row in rows):

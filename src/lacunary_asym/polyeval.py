@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, isqrt, log, sqrt
+from math import ceil, isqrt, log, sqrt
 from typing import Optional, Tuple
 
 from mpmath import mp, mpf
@@ -106,41 +106,55 @@ def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
 def _exact_sum(n: int, r: int, y) -> ExactRational:
     """sum_k C(n,k) y^-C(k+r,2) exactly, for n, r >= 0 and rational y > 0.
 
-    Binary splitting (Haible & Papanikolaou 1998) over the term ratio
-    t_{j+1}/t_j = alpha_j/beta_j, alpha_j = (n-j) q^(j+r), beta_j =
-    (j+1) p^(j+r) (y = p/q in lowest terms; the k = n leaf is (1, 1, 1)).
-    The range [a, b) carries P = prod alpha, Q = prod beta and T with
-    T/Q = sum_{k=a}^{b-1} prod_{j=a}^{k-1} alpha_j/beta_j, merged as
-    P = P1 P2, Q = Q1 Q2, T = T1 Q2 + P1 T2; products nothing reads (P on
-    the right spine, Q on the left) are skipped.  Then Q(0, n+1) =
-    n! p^(C(n+r,2) - C(r,2)) and the sum is q^C(r,2) (T // n!) / p^C(n+r,2);
-    the division is exact, as the k-th term of T(0, n+1) is n! C(n,k) times
-    powers of p and q.
+    With y = p/q in lowest terms the sum is q^C(r,2) N / p^C(n+r,2),
+    N = sum_k C(n,k) p^(C(n+r,2) - C(k+r,2)) q^(C(k+r,2) - C(r,2)).  N is
+    summed by binary splitting (Haible & Papanikolaou 1998) over pure powers:
+    the leaves are the C(n,k), built once by c_{k+1} = c_k (n-k) // (k+1),
+    and the range [a, b) carries
+    S(a,b) = sum_{k=a}^{b-1} C(n,k) p^(C(b-1+r,2) - C(k+r,2)) q^(C(k+r,2) - C(a+r,2)),
+    merged at m as S(a,b) = S(a,m) p^sigma(m,b) + S(m,b) q^tau(a,m), with
+    sigma(m,b) = sum_{k=m}^{b-1} (k-1+r) = (b-m)(m+b-3+2r)/2 and
+    tau(a,m) = sum_{k=a}^{m-1} (k+r) = (m-a)(a+m-1+2r)/2.  A node's powers
+    are products of its children's; the ones nothing reads (the p power on
+    the left spine, the q power on the right) are skipped.
 
-    No gcd: for C(n+r,2) > 0 and p > 1 the k = n term of the numerator is
-    q^C(n+r,2) and every other term carries a factor p, so the numerator is
-    prime to p; otherwise the denominator is 1.
+    Powers of two are shifts: p = 2^ep p', q = 2^eq q' with p', q' odd, the
+    nodes carry only p'^sigma and q'^tau (a product by p' = 1 or q' = 1 is
+    skipped), and each merge shifts left by ep sigma and eq tau, taken from
+    the closed forms.  The denominator is p'^C(n+r,2) shifted by ep C(n+r,2).
+
+    No gcd: for n + r >= 2 the k = n term of N is a power of q and every
+    other term carries p^(n+r-1) or more, so N is prime to p, as q is;
+    otherwise the denominator is 1.
     """
     yq = _exact_args(n, r, y)
     p, q = yq.numerator, yq.denominator
+    ep, eq = (p & -p).bit_length() - 1, (q & -q).bit_length() - 1
+    po, qo = p >> ep, q >> eq
+    leaves = [1] * (n + 1)
+    for k in range(n):
+        leaves[k + 1] = leaves[k] * (n - k) // (k + 1)
 
     def split(a: int, b: int, need_p: bool, need_q: bool):
+        """(S(a,b), p'^sigma(a,b), q'^tau(a,b)), a power nothing reads False."""
         if b - a == 1:
-            if a == n:
-                return 1, 1, 1
-            beta = (a + 1) * p ** (a + r)
-            return (n - a) * q ** (a + r), beta, beta
+            return leaves[a], need_p and po ** (a - 1 + r), need_q and qo ** (a + r)
         # halves of equal bit size: the powers up to j sum to ~(j + r)^2/2
         m = min(max(isqrt(((a + r) ** 2 + (b + r) ** 2) // 2) - r, a + 1), b - 1)
-        P1, Q1, T1 = split(a, m, True, need_q)
-        P2, Q2, T2 = split(m, b, need_p, True)
-        return need_p and P1 * P2, need_q and Q1 * Q2, T1 * Q2 + P1 * T2
+        S1, P1, Q1 = split(a, m, need_p, True)
+        S2, P2, Q2 = split(m, b, True, need_q)
+        if po != 1:
+            S1 *= P2
+        if qo != 1:
+            S2 *= Q1
+        S = (S1 << ep * ((b - m) * (m + b - 3 + 2 * r) // 2)) + (
+            S2 << eq * ((m - a) * (a + m - 1 + 2 * r) // 2)
+        )
+        return S, need_p and P1 * P2, need_q and Q1 * Q2
 
-    _, _, T = split(0, n + 1, False, False)
-    num, rem = divmod(T, factorial(n))
-    if rem:
-        raise ComputationError("exact-division", f"T(0, {n + 1}) not divisible by {n}!")
-    return coprime_fraction(num * q ** (r * (r - 1) // 2), p ** ((n + r) * (n + r - 1) // 2))
+    N = split(0, n + 1, False, False)[0]
+    E, Er = (n + r) * (n + r - 1) // 2, r * (r - 1) // 2
+    return coprime_fraction(N * qo**Er << eq * Er, po**E << ep * E)
 
 
 def eval_exact(n: int, y) -> ExactRational:

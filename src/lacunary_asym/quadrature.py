@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Tuple, Union
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -115,7 +115,7 @@ def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
-        val = _row_factory(L, *coefficients(ym, L), n)(as_real(s), 0, 1)
+        val = _row_factory(L, *coefficients(ym, L), n, imag=True)(as_real(s), 0, 1)
     with ctx.prec():
         return mpc(+val.real, +val.imag)
 
@@ -178,11 +178,14 @@ def _fixed(z: mpc, wp: int) -> Tuple[int, int]:
     return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
 
 
-def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..., mpc]:
+def _row_factory(
+    L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int, imag: bool = False
+) -> Callable[..., Union[mpf, mpc]]:
     """Grid summer for A e^{-s^2/(2L)} e^{i beta s} (1 + c e^{is})^n at the
     active mpmath precision p: row(s0, h, count, halve_first, halve_last)
-    gives the sum of the values at s_j = s0 + j h, j < count, with the first
-    value, the last or both weighted 1/2 (the trapezoid's end weights).
+    gives the real part of the sum of the values at s_j = s0 + j h, j < count,
+    with the first value, the last or both weighted 1/2 (the trapezoid's end
+    weights); with ``imag`` (_point) the whole complex sum.
     With log A, beta and c real the integrand f has f(-s) = conj f(s), so
     _trapezoid asks only for the nodes s_j >= 0 of its grid, which is
     symmetric about 0, and doubles the real part.
@@ -236,7 +239,7 @@ def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..
 
     def row(
         s0: mpf, h: mpf, count: int, halve_first: bool = False, halve_last: bool = False
-    ) -> mpc:
+    ) -> Union[mpf, mpc]:
         p = mp.prec
         R = abs(s0) + count * h
         E = 8 * (n + 1) * (count + 2) + 2 * count * count
@@ -269,7 +272,7 @@ def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..
                     if d > 0:
                         re, im, e = re >> d, im >> d, e + d
             if has_phase:
-                re, im, e = re * pr - im * pi, re * pi + im * pr, e - wp
+                re, im, e = re * pr - im * pi, imag and re * pi + im * pr, e - wp
             e += ge
             if j in ends:
                 e -= 1  # the trapezoid's end weight 1/2, exactly
@@ -278,7 +281,8 @@ def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..
             elif e < acc_e:
                 acc_r, acc_i, acc_e = acc_r << (acc_e - e), acc_i << (acc_e - e), e
             acc_r += gm * re << (e - acc_e)
-            acc_i += gm * im << (e - acc_e)
+            if imag:
+                acc_i += gm * im << (e - acc_e)
             gm, ge = gm * mm, ge + me
             d = gm.bit_length() - wp
             if d > 0:
@@ -291,6 +295,8 @@ def _row_factory(L: mpf, amp_log: mpf, beta: mpf, c: mpf, n: int) -> Callable[..
             if has_phase:
                 pr, pi = (pr * qr - pi * qi) >> wp, (pr * qi + pi * qr) >> wp
         real = from_man_exp(acc_r, acc_e, p, round_nearest)
+        if not imag:
+            return mp.make_mpf(real)
         return mp.make_mpc((real, from_man_exp(acc_i, acc_e, p, round_nearest)))
 
     return row
@@ -308,7 +314,7 @@ def _price(points: int, wp: int) -> None:
 
 
 def _trapezoid(
-    row: Callable[..., mpc], S: mpf, panels: int, rel_tol: mpf
+    row: Callable[..., mpf], S: mpf, panels: int, rel_tol: mpf
 ) -> Tuple[mpf, mpf, int, mpf]:
     """Composite trapezoid over [-S, S] under step halving, at the active
     precision; each halving round is priced (_price) before its row.
@@ -325,11 +331,11 @@ def _trapezoid(
     """
     h = 2 * S / panels
     odd, half = panels % 2, panels // 2
-    T = 2 * h * row(h / 2 if odd else mpf(0), h, half + 1, not odd, True).real
+    T = 2 * h * row(h / 2 if odd else mpf(0), h, half + 1, not odd, True)
     last_diff = mpf("inf")
     for _ in range(MAX_HALVINGS):
         _price(panels, mp.prec)
-        mid = row(mpf(0) if odd else h / 2, h, half + odd, bool(odd)).real
+        mid = row(mpf(0) if odd else h / 2, h, half + odd, bool(odd))
         Tn = T / 2 + h * mid
         h /= 2
         panels *= 2

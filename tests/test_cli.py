@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from lacunary_asym import cli, eval_exact
+from lacunary_asym import __version__, certify_absolute_monotonicity, cli, eval_exact
 from lacunary_asym.cli import (
     COMPARE_FIELDS,
     EXIT_DOMAIN,
@@ -303,6 +303,26 @@ class TestMonotoneCommand:
             sys.set_int_max_str_digits(limit)
         assert printed == want
         assert len(want[-1]) > 4300
+
+    @pytest.mark.parametrize("y, N, R", [("2", 0, 0), ("3/2", 5, 3), ("1.00123", 4, 4)])
+    def test_output_is_json_dumps_of_the_certificate(self, y, N, R):
+        argv = ["monotone", "--y", y, "--N", str(N), "--R", str(R)]
+        status, out = render(argv)
+        assert status == EXIT_OK
+        config = parse_config(argv)
+        cert = certify_absolute_monotonicity(N, R, config.y)
+        entries = [
+            {"n": e.n, "r": e.r, "value": f"{e.value.numerator}/{e.value.denominator}"}
+            for e in cert.entries
+        ]
+        config_echo = {"command": "monotone", "y": y, "bits": config.bits, "format": "json"}
+        certificate = {"y": y, "N": N, "R": R, "entries": entries}
+        payload = {
+            "config": {**config_echo, "N": N, "R": R},
+            "certificate": {**certificate, "verified_against_telescoping": True, "all_positive": True},
+            "tool_version": __version__,
+        }
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_config_echo_carries_N_R(self):
         _, out = render(["monotone", "--y", "3/2", "--N", "2", "--R", "1"])

@@ -102,7 +102,17 @@ class TestEvalExact:
         assert eval_exact(n, y) == brute_f(n, y)
 
     @pytest.mark.parametrize(
-        "n, r, y", [(500, 0, Fraction(2)), (300, 0, Fraction(3, 2)), (40, 7, Fraction(3, 2))]
+        "n, r, y",
+        [
+            (500, 0, Fraction(2)),
+            (300, 0, Fraction(3, 2)),
+            (40, 7, Fraction(3, 2)),
+            # powers of two in p or in q, which the kernel applies as shifts
+            (200, 3, Fraction(5, 8)),
+            (150, 2, Fraction(12, 5)),
+            (100, 4, Fraction(1024, 3)),
+            (60, 3, Fraction(10**30 + 1, 10**30)),
+        ],
     )
     def test_lowest_terms_without_a_gcd(self, n, r, y):
         # the kernel builds its Fraction unnormalised; its proof must hold
@@ -121,6 +131,12 @@ class TestEvalExact:
     @example(n=9, r=4, p=1, q=1)  # y = 1
     @example(n=12, r=5, p=2, q=9)  # y < 1
     @example(n=40, r=40, p=12, q=11)
+    @example(n=30, r=3, p=2, q=1)  # p and q with powers of two
+    @example(n=25, r=2, p=3, q=2)
+    @example(n=20, r=5, p=5, q=8)
+    @example(n=18, r=4, p=12, q=5)
+    @example(n=15, r=3, p=1024, q=3)
+    @example(n=12, r=2, p=10**30 + 1, q=10**30)
     @settings(max_examples=60)
     def test_kernel_matches_naive_reference(self, n, r, p, q):
         y = Fraction(p, q)

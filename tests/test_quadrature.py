@@ -298,15 +298,17 @@ def reference_row(L, amp_log, beta, c, n, power=pow):
 def summed_rows(factory):
     """factory with each row of values summed as the trapezoid summed the
     lists of reference_row: mp.fsum, less half of each end value that is
-    halved."""
+    halved; the real part, or with ``imag`` the complex sum, as
+    _row_factory's rows give."""
 
-    def make(*args):
+    def make(*args, imag=False):
         row = factory(*args)
 
         def total(s0, h, count, halve_first=False, halve_last=False):
             vals = row(s0, h, count)
             ends = [v for v, halve in ((vals[0], halve_first), (vals[-1], halve_last)) if halve]
-            return mp.fsum(vals) - mp.fsum(ends) / 2
+            total = mp.fsum(vals) - mp.fsum(ends) / 2
+            return total if imag else total.real
 
         return total
 
@@ -426,12 +428,17 @@ def power_by_squaring(z, n):
 def test_row_values_within_the_rounding_bound(monkeypatch, name, n, y):
     # each row sum is within sum_j 2^(1-p) G_j (1 + c)^n of the exact sum of
     # G_j e^{i beta s_j} (1 + c e^{is_j})^n, G_j the exact Gaussian, plus
-    # 2^-p of the sum for its one rounding; p + 64 bits stand in for exact
+    # 2^-p of the sum for its one rounding; p + 64 bits stand in for exact.
+    # The quadrature's rows give the real part of the complex row.
     exact = summed_rows(partial(reference_row, power=power_by_squaring))
+    factory = qd._row_factory
     rows, _ = recorded_rows(monkeypatch, name, n, y)
-    for (L, amp_log, beta, c, n_), p, s0, h, count, ends, total in rows:
+    for (L, amp_log, beta, c, n_), p, s0, h, count, ends, real in rows:
+        with mp.workprec(p):
+            total = factory(L, amp_log, beta, c, n_, imag=True)(s0, h, count, *ends)
+        assert total.real == real
         with mp.workprec(p + 64):
-            want = exact(L, amp_log, beta, c, n_)(s0, h, count, *ends)
+            want = exact(L, amp_log, beta, c, n_, imag=True)(s0, h, count, *ends)
             gauss = exact(L, amp_log, 0, 0, 0)(s0, h, count).real
             bound = gauss * (1 + c) ** n_ * mpf(2) ** (1 - p) * (1 + mpf(2) ** -20)
             assert abs(total - want) <= bound + mpf(2) ** -p * abs(want), (s0, count)
