@@ -7,9 +7,8 @@ Around the saddle the integrand exponent has the Taylor data
     a    = 1/(2 log y) + n x / (2 (1+x)^2),
     b_nu = (-n i^nu / nu!) sum_{k>=1} k^{nu-1} (-x)^k,   nu >= 3,
 
-and the b_nu admit the closed form via Euler-Frobenius polynomials,
-
-    b_nu = (-n i^nu / nu!) P_{nu-1}(-x) / (1+x)^nu.
+which defines b_nu.  Its value is the Euler-Frobenius closed form, with
+P_{nu-1}(-x) summed exactly: b_nu = (-n i^nu / nu!) P_{nu-1}(-x) / (1+x)^nu.
 
 The two approximations compared throughout: a Lambert-W form built from
 w(n) (root of t e^t = n sqrt(y) log y) and the refined form built from
@@ -55,14 +54,10 @@ _GUARD = 32
 THETA_TERMS_CAP = 10_000
 
 # Highest order K of saddle_data's b_K and nu of euler_frobenius and
-# b_closed_form: saddle_data(10, 2, K=800) took 6.7 s and euler_frobenius(2000)
-# 4.0 s.  At the cap saddle_data(2, 2, K=64) takes 0.4 s at 128 bits, 1.9 s at
-# 1024.
+# b_closed_form: saddle_data(10, 2, K=800) took 3.0 s and euler_frobenius(2000)
+# 7.8 s.  At the cap saddle_data(2, 2, K=64) takes 5-7 ms at 128 bits and
+# 56-95 ms at 1024, on a shared 2-vCPU x86-64 box.
 ORDER_CAP = 64
-
-# i^nu cycle, nu mod 4
-_I_POW = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))
-
 
 @dataclass(frozen=True)
 class SaddleData:
@@ -118,51 +113,61 @@ def _require_order(order, name: str, lo: int) -> int:
     return require_n(order, lo=lo, cap=ORDER_CAP, cap_code=cap_code, code=code, name=name)
 
 
-def euler_frobenius(nu: int) -> List[int]:
-    """Coefficients of P_nu, where sum_{l>=1} l^nu z^l = P_nu(z)/(1-z)^{nu+1}.
-
-    Recurrence: applying z d/dz to the generating identity gives
-    P_{nu+1} = z(1-z) P_nu' + (nu+1) z P_nu.  Exact integers throughout.
-    """
-    _require_order(nu, "nu", lo=0)
-    coeffs = [1]  # P_0
-    for m in range(nu):
-        # z(1-z) P' + (m+1) z P, degree grows by one
+def _euler_frobenius_rows(top: int) -> List[List[int]]:
+    """P_0 ... P_top, where sum_{l>=1} l^nu z^l = P_nu(z)/(1-z)^{nu+1}: exact
+    ints, in one pass of P_{m+1} = z(1-z) P_m' + (m+1) z P_m (z d/dz of it)."""
+    rows = [[1]]
+    for m in range(top):
         nxt = [0] * (m + 2)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] += (m + 1) * c  # (m+1) z P
-            if j >= 1:
-                nxt[j] += j * c  # z P' shifts down one after z*
-                nxt[j + 1] -= j * c  # -z^2 P'
-        coeffs = nxt
-    return coeffs
+        for j, c in enumerate(rows[-1]):
+            nxt[j] += j * c  # z P'
+            nxt[j + 1] += (m + 1 - j) * c  # (m+1) z P - z^2 P'
+        rows.append(nxt)
+    return rows
 
 
-def _b_series(n_m: mpf, x: mpf, nu: int, eps: mpf) -> mpc:
-    """b_nu by direct summation of sum_k k^{nu-1} (-x)^k."""
-    partial = mpf(0)
-    xk = -x  # (-x)^k
-    k = 1
-    while True:
-        term = mpf(k) ** (nu - 1) * xk
-        partial += term
-        if abs(term) < eps * abs(partial) and abs(xk) < eps:
-            break
-        xk *= -x
-        k += 1
-    return _I_POW[nu % 4] * (-n_m / mp.factorial(nu)) * partial
+def euler_frobenius(nu: int) -> List[int]:
+    """Coefficients of P_nu, where sum_{l>=1} l^nu z^l = P_nu(z)/(1-z)^{nu+1}."""
+    _require_order(nu, "nu", lo=0)
+    return _euler_frobenius_rows(nu)[-1]
 
 
-def b_closed_form(n_m: mpf, x: mpf, nu: int) -> mpc:
-    """b_nu via the Euler-Frobenius closed form P_{nu-1}(-x)/(1+x)^nu; real n_m, x, nu >= 1."""
-    n_m = as_real(require_real(n_m, "n-out-of-domain", "n", above=-math.inf))
-    x = as_real(require_real(x, "x-out-of-domain", "x", above=-math.inf))
+def _b_closed_form(n, x, orders: range, ctx: PrecisionContext) -> List[mpc]:
+    """b_nu, nu in orders, by the closed form at x != -1 (else x-out-of-domain)
+    rounded to W = ctx.bits + _GUARD bits.  P_m(-x), m = nu - 1, is rounded once:
+    where 2^-W m! <= |x| <= 2^W / m! it is summed exactly in ints; outside, -x
+    or (-x)^m is within 2^-W of it, as c_1 = c_m = 1 and the c_j sum to m!.
+    n, 1+x, its power, nu! and three products add under nu + 8 roundings at W
+    bits: each b_nu is within eps of the closed form at x, zeros included."""
+    with ctx.prec(_GUARD):
+        n_m, xm = as_real(n), as_real(x)
+        if xm == -1:
+            raise DomainError("x-out-of-domain", "x = -1 is the pole of b_nu")
+        man, exp = xm.man_exp
+        mag = exp + abs(man).bit_length()  # 2^(mag-1) <= |x| < 2^mag
+        s, N = max(-exp, 0), -man << max(exp, 0)  # -x = N 2^-s
+        rows, b = _euler_frobenius_rows(orders[-1] - 1), []
+        for nu in orders:
+            m = nu - 1
+            if m and abs(mag) > mp.prec + math.factorial(m).bit_length() + 1:
+                p = -xm if mag < 0 else (-xm) ** m
+            else:
+                acc = 0
+                for j, c in enumerate(reversed(rows[m])):  # 2^(s m) P_m(-x), Horner
+                    acc = acc * N + (c << s * j)
+                p = mpf((acc, -s * m))
+            b.append(mp.j**nu * -n_m * p / (mp.factorial(nu) * (1 + xm) ** nu))
+    with ctx.prec():
+        return [mpc(+bv.real, +bv.imag) for bv in b]
+
+
+def b_closed_form(n_m: mpf, x: mpf, nu: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """b_nu within eps, relative, of its closed form at x rounded to ctx.bits
+    + 32 bits, zeros of b_nu included (_b_closed_form); real n_m, x != -1."""
+    require_real(n_m, "n-out-of-domain", "n", above=-math.inf)
+    require_real(x, "x-out-of-domain", "x", above=-math.inf)
     _require_order(nu, "nu", lo=1)
-    poly = euler_frobenius(nu - 1)
-    acc = mpf(0)
-    for c in reversed(poly):
-        acc = acc * (-x) + c
-    return _I_POW[nu % 4] * (-n_m / mp.factorial(nu)) * acc / (1 + x) ** nu
+    return _b_closed_form(n_m, x, range(nu, nu + 1), ctx)[0]
 
 
 def saddle_data(
@@ -186,18 +191,10 @@ def saddle_data(
             )
         psi0 = r * r / (2 * L) + n * mp.log1p(x)
         a = 1 / (2 * L) + n * x / (2 * (1 + x) ** 2)
-        eps = ctx.eps
-        b = [_b_series(mpf(n), x, nu, eps) for nu in range(3, K + 1)]
     with ctx.prec():
-        return SaddleData(
-            n=n,
-            y=+ym,
-            r=+r,
-            x=+x,
-            a=+a,
-            psi0=+psi0,
-            b=tuple(mpc(+bv.real, +bv.imag) for bv in b),
-        )
+        x = +x  # b is within eps of the closed form at the returned x
+        b = tuple(_b_closed_form(n, x, range(3, K + 1), ctx))
+        return SaddleData(n=n, y=+ym, r=+r, x=x, a=+a, psi0=+psi0, b=b)
 
 
 def _price_theta(q: mpf, eps: mpf) -> None:
@@ -293,7 +290,17 @@ def approximation_summary(
         w, r = w_root.t, r_root.t
         log_bdm = _lambert_form(w, L)
         log_pref = _lambert_form(r, L)
-        osc, _ = _theta_oscillation(mp.pi * r / L, q, ctx.eps)
+        z = mp.pi * r / L
+        osc, K = _theta_oscillation(z, q, ctx.eps)
+        # The sum is absolutely accurate only: its tail is below eps, and at
+        # the computed z, with u = 2^-prec, q^(k^2) carries k^2 roundings,
+        # cos(2kz) 1 + 2kz, and the K additions K each: below 8 K^2 (K+z+1) u.
+        err = ctx.eps + mp.ldexp(8 * K * K * (K + z + 1), -mp.prec)
+        if not 1 + osc > err:
+            raise DomainError(
+                "theta-unresolved",
+                f"theta_3 = {mp.nstr(1 + osc, 3)} is not above its error bound {mp.nstr(err, 3)}",
+            )
     with ctx.prec():
         return ApproxSummary(
             n=n,

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from mpmath import mp, mpf
 
@@ -88,7 +88,7 @@ class UsageError(Exception):
 class RunConfig:
     command: str
     y_raw: str
-    y: Fraction
+    y: Union[Fraction, Decimal]
     n_values: Tuple[int, ...]
     bits: int
     output_format: str
@@ -222,12 +222,13 @@ def _quadcheck_cells(config: RunConfig, n: int) -> Dict[str, object]:
 # run(): its help line and, for a row command, its output fields, the cells of
 # one n and the smallest n it takes; monotone has no rows but a certificate.
 # A row's y cell is the configured y unless the cells carry their own (the
-# rounded y of a record).
+# rounded y of a record).  An exact command takes y as a Fraction.
 class Command(NamedTuple):
     help: str
     fields: Sequence[str] = ()
     cells: Optional[Callable[[RunConfig, int], Dict[str, object]]] = None
     n_min: int = 1
+    exact: bool = False
 
 
 _COMMANDS: Dict[str, Command] = {
@@ -252,8 +253,9 @@ _COMMANDS: Dict[str, Command] = {
         ("n", "y", "f_exact", "dev_original", "dev_shifted", "dev_cross", "status"),
         _quadcheck_cells,
         n_min=0,
+        exact=True,
     ),
-    "monotone": Command("exact difference-positivity certificate"),
+    "monotone": Command("exact difference-positivity certificate", exact=True),
 }
 
 
@@ -293,8 +295,15 @@ _PARSER = _build_parser()
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     args = _PARSER.parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        y = to_fraction(require_exact_bits(args.y))
+        # a Decimal compares with 1 without building 10^exponent (1.4 s for 1e2999999)
+        if command.exact or "/" in args.y:
+            y = to_fraction(require_exact_bits(args.y))
+        else:
+            y = require_exact_bits(Decimal(args.y))
+            if not y.is_finite():
+                raise ValueError("not finite")
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     except (ValueError, ArithmeticError) as exc:
@@ -302,7 +311,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if y <= 1:
         raise UsageError("y must exceed 1")
     bits = _resolve_bits(args)
-    command = _COMMANDS[args.command]
     if not command.cells and (args.N < 0 or args.R < 0):
         raise UsageError("--N and --R must be non-negative")
     return RunConfig(

@@ -53,7 +53,7 @@ EXACT_DIGITS_CAP = 100_000
 # at 400 bits at most.
 PRECISION_BITS_CAP = 1024
 
-Real = Union[int, float, str, Fraction, mpf]
+Real = Union[int, float, str, Decimal, Fraction, mpf]
 
 
 class LacunaryError(Exception):
@@ -100,9 +100,10 @@ class PrecisionContext:
 def as_real(value: Real) -> mpf:
     """Convert to mpf at the currently active mpmath precision.
 
-    mpf parses all digits of a decimal string into one int, which Python
-    refuses past 4300 digits: a longer string is first rounded, as a
-    Decimal, to 20 digits more than the precision carries.  A Fraction is
+    mpf parses all digits of a decimal string (a Decimal is taken as its
+    string) into one int, which Python refuses past 4300 digits: a longer
+    string is first rounded, as a Decimal, to 20 digits more than the
+    precision carries.  A Fraction is
     its numerator rounded, over its denominator taken exactly, with the
     latter's trailing zero bits moved into the numerator's exponent: mpf(int)
     and int operands take an int exactly first, and mpmath drops its
@@ -112,6 +113,8 @@ def as_real(value: Real) -> mpf:
         den = value.denominator
         tz = (den & -den).bit_length() - 1
         return mpf((value.numerator, -tz)) / (den >> tz)
+    if isinstance(value, Decimal):
+        value = str(value)
     if isinstance(value, str) and len(value) > 4000:
         value = str(Context(prec=mp.dps + 20).plus(Decimal(value)))
     return mpf(value)
@@ -175,10 +178,10 @@ def _exact(value, exact: bool):
     TypeError/ValueError/ArithmeticError.
 
     Exact mode takes what to_fraction takes (not mpf); require_real has
-    bounded a decimal's size first.  Otherwise a decimal string becomes a
-    Decimal and an mpf stays as it is: the side of 0 and 1, all a real
-    domain asks, is decided without building 10^(10^9) or a million-digit
-    int.
+    bounded a decimal's size first.  Otherwise a decimal (a string or a
+    Decimal) becomes a Decimal and an mpf stays as it is: the side of 0 and
+    1, all a real domain asks, is decided without building 10^(10^9) or a
+    million-digit int.
     """
     if exact:
         return to_fraction(value)
@@ -186,7 +189,7 @@ def _exact(value, exact: bool):
         isinstance(value, str) and "/" in value
     ):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (str, Decimal)):
         value = Decimal(value)
         if not value.is_finite():
             raise OverflowError("not finite")

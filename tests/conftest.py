@@ -2,6 +2,7 @@ import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
+from mpmath import mp, mpf
 
 from lacunary_asym import PrecisionContext
 
@@ -19,6 +20,32 @@ settings.load_profile("numeric")
 @pytest.fixture(scope="session")
 def ctx():
     return PrecisionContext()
+
+
+def _b_series(n, x, nu, extra=128):
+    """b_nu by its defining series (-n i^nu / nu!) sum_{k>=1} k^(nu-1) (-x)^k,
+    0 < x < 1, summed at the working precision plus ``extra`` bits (its
+    alternating terms cancel ~nu log2((1+x)/(1-x)) bits) and stopped once the
+    terms fall by the ratio ((k+1)/k)^(nu-1) x < 1 and their geometric tail is
+    below 2^-prec of the sum.  Returned at the working precision."""
+    prec = mp.prec
+    with mp.workprec(prec + extra):
+        partial, k = mpf(0), 1
+        while True:
+            term = mpf(k) ** (nu - 1) * (-x) ** k
+            partial += term
+            ratio = (mpf(k + 1) / k) ** (nu - 1) * x
+            if ratio < 1 and abs(term) * ratio / (1 - ratio) < 2**-prec * abs(partial):
+                break
+            k += 1
+        b = mp.j**nu * -n * partial / mp.factorial(nu)
+    return +b
+
+
+@pytest.fixture(scope="session")
+def b_series():
+    """The series reference for saddle_data's closed-form b (_b_series)."""
+    return _b_series
 
 
 # Seconds a test that uses the ``time_limit`` fixture may run.

@@ -177,14 +177,35 @@ class TestSaddleData:
             else:
                 assert bv.imag == 0 and bv.real != 0
 
-    def test_b_series_matches_closed_form(self, ctx):
+    def test_b_series_matches_closed_form(self, ctx, b_series):
+        # b is the closed form; the series, summed at raised precision, is the reference
         for n in (10, 100, 10**4):
             d = saddle_data(n, 2, K=10, ctx=ctx)
             with ctx.prec(40):
                 for nu, bv in zip(range(3, 11), d.b):
-                    cf = b_closed_form(mpf(n), d.x, nu)
-                    num = abs(bv - cf)
-                    assert num <= mpf("1e-25") * abs(cf), (n, nu)
+                    ref = b_series(n, d.x, nu)
+                    assert abs(bv - ref) <= mpf("1e-25") * abs(ref), (n, nu)
+
+    def test_b_within_eps_at_the_order_cap(self, ctx):
+        # at n = 2, x = 0.77: the series lost ~190 bits at nu = 64 (3.9e20
+        # relative), 1.3e4 at n = 3 and 3.4e-10 at n = 5
+        hi = PrecisionContext(bits=1024)
+        for n in (2, 3, 5):
+            lo_b = saddle_data(n, 2, K=ORDER_CAP, ctx=ctx).b
+            hi_b = saddle_data(n, 2, K=ORDER_CAP, ctx=hi).b
+            with hi.prec():
+                for nu, a, b in zip(range(3, ORDER_CAP + 1), lo_b, hi_b):
+                    assert abs(a - b) <= ctx.eps * abs(b), (n, nu)
+
+    def test_b_closed_form_keeps_digits_at_a_zero(self, ctx):
+        # b_4 = 0 at x = 2 - sqrt(3): a rounded Horner sum was off by 1.6e-2, relative
+        with mp.workprec(ctx.bits):
+            x = 2 - mp.sqrt(3)
+        with ctx.prec():
+            got = b_closed_form(10, x, 4)
+        with mp.workprec(3000):
+            ref = -10 * (-x + 4 * x**2 - x**3) / (24 * (1 + x) ** 4)
+            assert abs(got - ref) <= ctx.eps * abs(ref)
 
     def test_prefactor_identity(self, ctx):
         # 2 a log y = 1 + r/(1+x) exactly, from the saddle equation

@@ -34,6 +34,7 @@ from lacunary_asym import (
     integrate_shifted,
     lambert_w,
     psi_exp,
+    residual_relations,
     rho,
     saddle_data,
     solve_r,
@@ -156,6 +157,13 @@ CASES = [
     ),
     pytest.param(
         lambda: b_closed_form("x", 0.5, 4), "n-out-of-domain", id="b_closed_form('x', 0.5, 4)"
+    ),
+    # the pole of the closed form raised a raw ZeroDivisionError
+    pytest.param(
+        lambda: b_closed_form(10, -1, 4), "x-out-of-domain", id="b_closed_form(10, -1, 4)"
+    ),
+    pytest.param(
+        lambda: b_closed_form(10, "-1", 4), "x-out-of-domain", id="b_closed_form(10, '-1', 4)"
     ),
     pytest.param(
         lambda: saddle_data(10, 2, K="x"), "K-out-of-domain", id="saddle_data(10, 2, K='x')"
@@ -294,8 +302,8 @@ CASES = [
         id="cli approx --bits 1025",
     ),
     # series orders past their caps, each priced before its loop: theta_3 at
-    # q = 1 - 1e-8 took 2.76 s (K = 98,359), saddle_data at K = 800 6.7 s,
-    # euler_frobenius(2000) 4.0 s
+    # q = 1 - 1e-8 took 2.76 s (K = 98,359), saddle_data at K = 800 3.0 s,
+    # euler_frobenius(2000) 7.8 s
     pytest.param(
         lambda: theta3(0, "0.99999999"), "theta-terms-exceeded", id="theta3(0, 1 - 1e-8)"
     ),
@@ -322,6 +330,17 @@ CASES = [
         ["approx", "--y", "1e2999999", "--n", "10", "--bits", "1024"],
         EXIT_DOMAIN,
         id="cli approx --y 1e2999999 --bits 1024",
+    ),
+    # theta_3 below the absolute error of its sum: the row printed
+    # theta_factor = -2.8e-37 and a complex ratio_thm, and exited 0
+    pytest.param(
+        lambda: approximation_summary(2, "1e3000"),
+        "theta-unresolved",
+        id="approximation_summary(2, '1e3000')",
+    ),
+    pytest.param(lambda: rho(2, "1e3000"), "theta-unresolved", id="rho(2, '1e3000')"),
+    pytest.param(
+        ["compare", "--y", "1e3000", "--n", "2"], EXIT_DOMAIN, id="cli compare --y 1e3000 --n 2"
     ),
     pytest.param(
         lambda: saddle_data(10, 2, K=800), "order-cap-exceeded", id="saddle_data(10, 2, K=800)"
@@ -395,9 +414,14 @@ def test_decimal_y_with_a_huge_exponent_converts_at_once(capsys):
     # mpmath stripped the 4M trailing zero bits of 10^1200000 eight at a
     # time on each of ~21 conversions: 33 s for one row
     start = time.perf_counter()
-    assert cli.main(["approx", "--y", "1e1200000", "--n", "10", "--format", "csv"]) == EXIT_OK
-    assert time.perf_counter() - start < 5
+    residual_relations(10, Fraction(10**1200000))
+    assert cli.main(["solve", "--y", "1e1200000", "--n", "10", "--format", "csv"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].startswith("10,1.0e+1200000,")
+    # approx converts as often, then refuses: theta_3 ~ e^-350000 there, below
+    # the absolute error of its sum (the row printed 7.0e-40 and rho = -1.0)
+    assert cli.main(["approx", "--y", "1e1200000", "--n", "10"]) == EXIT_DOMAIN
+    assert "theta-unresolved" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.usefixtures("time_limit")
