@@ -10,7 +10,6 @@ dense range of n.
 """
 
 import argparse
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -26,8 +25,7 @@ def main() -> None:
 
     ctx = PrecisionContext(bits=args.bits)
     print(f"{'y':>8}  {'bound':>12}  {'max rho':>12}  {'min rho':>12}  {'fill':>6}")
-    for ytext in args.y:
-        y = Fraction(ytext)
+    for y in args.y:
         with ctx.prec():
             L = mp.log(as_real(y))
             bound = 2 / (mp.exp(2 * mp.pi**2 / L) - 1)
@@ -35,7 +33,7 @@ def main() -> None:
         hi, lo = max(values), min(values)
         with ctx.prec():
             fill = max(abs(hi), abs(lo)) / bound
-            print(f"{ytext:>8}  {mp.nstr(bound, 6):>12}  {mp.nstr(hi, 6):>12}  "
+            print(f"{y:>8}  {mp.nstr(bound, 6):>12}  {mp.nstr(hi, 6):>12}  "
                   f"{mp.nstr(lo, 6):>12}  {mp.nstr(fill, 3):>6}")
 
 

@@ -16,6 +16,10 @@ r(n) whose bounded oscillation is the Jacobi theta_3 factor
 
     theta_3(pi r / log y, e^{-2 pi^2 / log y}).
 
+theta_3(z, e^-a) is summed directly for a >= pi (for the factor above,
+log y <= 2 pi) and by Jacobi's imaginary transformation (Whittaker & Watson
+21.51) below, so that it takes a bounded number of terms at any a (_theta).
+
 Everything here assumes x < 1, which holds exactly when n >= 2: at n = 1
 the root is r = (log y)/2 for every y > 1, giving x = 1 on the nose.
 Root-only functions take the solvers' real n > 0; approx_theorem also
@@ -36,7 +40,6 @@ from .numerics import (
     LogValue,
     PrecisionContext,
     as_real,
-    require_eps,
     require_n,
     require_real,
     require_resolved,
@@ -46,12 +49,6 @@ from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r
 
 _GUARD = 32
-
-# Most terms the theta_3 sum may be predicted to take: its work budget, ~0.25 s
-# at 128 bits and ~0.9 s at 1024 on a 2-vCPU x86-64 box.  The work grows like
-# (1-q)^-1/2 as q -> 1: 98,359 terms and 2.8 s at q = 1 - 1e-8.  The nome of
-# approximation_summary reaches the cap at y ~ 10^(1.2e6) at 1024 bits.
-THETA_TERMS_CAP = 10_000
 
 # Highest order K of saddle_data's b_K and nu of euler_frobenius and
 # b_closed_form: saddle_data(10, 2, K=800) took 3.0 s and euler_frobenius(2000)
@@ -197,57 +194,66 @@ def saddle_data(
         return SaddleData(n=n, y=+ym, r=+r, x=x, a=+a, psi0=+psi0, b=b)
 
 
-def _price_theta(q: mpf, eps: mpf) -> None:
-    """Refuse a theta_3 sum at nome q and tolerance eps whose order K, the
-    least with (K+1)^2 >= log(eps (1-q)/2) / log q, is above
-    THETA_TERMS_CAP (theta-terms-exceeded).  The price is taken in floats,
-    or in mpf where a float underflows or q rounds to 0 or 1."""
-    try:
-        need = math.log(eps * (1 - q) / 2) / math.log(q)
-    except (ValueError, ZeroDivisionError):
-        need = mp.log(eps * (1 - q) / 2) / mp.log(q)  # 0 at q = 0
-    if need > (THETA_TERMS_CAP + 1) ** 2:
-        raise DomainError(
-            "theta-terms-exceeded",
-            f"nome 1 - {mp.nstr(1 - q, 3)} needs ~{mp.nstr(mp.sqrt(need), 3)} terms, "
-            f"above the cap {THETA_TERMS_CAP}",
-        )
+def _theta(z: mpf, a: mpf, eps: mpf) -> Tuple[mpf, mpf, int]:
+    """theta_3(z, e^-a), theta_3 - 1 and the number K of terms summed, at the
+    working precision, truncated below eps relative.
+
+    For a >= pi the direct series 1 + 2 sum_{k=1}^K q^{k^2} cos(2kz), q = e^-a,
+    with K the least such that 2 q^{(K+1)^2}/(1-q) <= eps: q <= e^-pi gives
+    theta_3 >= 1 - 2q/(1-q) > 0.909, so the absolute bound is a relative one.
+    For a < pi Jacobi's sqrt(pi/a) sum_k e^{-(z-k pi)^2/a}, positive terms
+    walked outward from k0 = nint(z/pi): past its first term each side falls
+    by q' = e^{-pi^2/a} < e^-pi or faster, so it stops at a term t with
+    2t q'/(1-q') <= eps * sum."""
+    if a >= mp.pi:
+        q = mp.exp(-a)
+        K, tail = 0, 2 * q / (1 - q)  # bound for the sum from k = K+1 on
+        while tail > eps:
+            K += 1
+            tail = 2 * q ** ((K + 1) ** 2) / (1 - q)
+        total, qp, qodd, q2 = mpf(0), mpf(1), q, q * q  # qp = q^{k^2}, qodd = q^{2k-1}
+        for k in range(1, K + 1):
+            qp *= qodd
+            qodd *= q2
+            total += qp * mp.cos(2 * k * z)
+        return 1 + 2 * total, 2 * total, K
+    qd = mp.exp(-mp.pi**2 / a)
+    stop = eps * (1 - qd) / (2 * qd)
+    k0 = int(mp.nint(z / mp.pi))
+    total, K = mp.exp(-((z - k0 * mp.pi) ** 2) / a), 1
+    for step in (1, -1):
+        k = k0
+        while k == k0 or t > stop * total:  # a first term may equal the k0 one
+            k += step
+            t = mp.exp(-((z - k * mp.pi) ** 2) / a)
+            total, K = total + t, K + 1
+    theta = mp.sqrt(mp.pi / a) * total
+    return theta, theta - 1, K
 
 
-def _theta_oscillation(z: mpf, q: mpf, eps: mpf) -> Tuple[mpf, int]:
-    """2 sum_{k=1}^K q^{k^2} cos(2kz) with 2 q^{(K+1)^2}/(1-q) <= eps.
+def theta3(z, q, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
+    """theta_3(z, q) = 1 + 2 sum q^{k^2} cos(2kz), real z and q in [0, 1) once
+    rounded to bits + 32 bits, within eps relative; K counts its terms (_theta).
 
-    The loop finds K exactly; callers price it first (_price_theta)."""
-    K = 0
-    tail = 2 * q / (1 - q)  # bound for the sum from k = K+1 on
-    while tail > eps:
-        K += 1
-        tail = 2 * q ** ((K + 1) ** 2) / (1 - q)
-    total = mpf(0)
-    qp = mpf(1)  # q^{k^2}
-    qodd = q  # q^{2k-1}
-    q2 = q * q
-    for k in range(1, K + 1):
-        qp *= qodd
-        qodd *= q2
-        total += qp * mp.cos(2 * k * z)
-    return 2 * total, K
-
-
-def theta3(z, q, eps=None, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
-    """theta_3(z, q) = 1 + 2 sum q^{k^2} cos(2kz), real z and q in [0, 1), truncated below eps."""
+    Near q = 1 theta_3's relative error is ~1/(1-q) times that of a = -log q,
+    itself ~2^-P/(1-q) for q rounded to P bits: q is re-rounded, a taken and
+    the sum run at a precision raised by 2 log2(1/(1-q)), and z reduced mod
+    pi at one raised by log2|z| more."""
     require_resolved(z, "z-out-of-domain", "z", ctx.bits + _GUARD)
     require_real(q, "nome-out-of-domain", "q", above=-math.inf)
     with ctx.prec(_GUARD):
-        zm = as_real(z)
         qm = as_real(q)
         if not (0 <= qm < 1):
             raise DomainError("nome-out-of-domain", "need nome q in [0, 1)")
-        epsm = ctx.eps if eps is None else as_real(require_eps(eps))
-        _price_theta(qm, epsm)
-        osc, K = _theta_oscillation(zm, qm, epsm)
+        extra = _GUARD + 2 * max(0, -mp.mag(1 - qm))
+        zmag = max(0, mp.mag(as_real(z)))
+    with ctx.prec(extra + zmag):
+        zm = as_real(z)
+        zm = abs(zm - mp.nint(zm / mp.pi) * mp.pi)
+    with ctx.prec(extra):
+        theta, _, K = _theta(+zm, -mp.log(as_real(q)), ctx.eps)
     with ctx.prec():
-        return Theta3Result(+(1 + osc), K)
+        return Theta3Result(+theta, K)
 
 
 def _lambert_form(t: mpf, L: mpf) -> mpf:
@@ -258,8 +264,10 @@ def _lambert_form(t: mpf, L: mpf) -> mpf:
 def rho(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """The oscillation rho_n(y) = theta_3(pi r/log y, e^{-2 pi^2/log y}) - 1.
 
-    Summed directly (without the leading 1) so the tiny value keeps full
-    relative accuracy; satisfies |rho| <= 2/(e^{2 pi^2/log y} - 1).
+    Up to log y = 2 pi it is summed directly (without the leading 1), so
+    the tiny value keeps full relative accuracy; satisfies |rho| <=
+    2/(e^{2 pi^2/log y} - 1).  Above, it is the dual sum minus 1, within
+    eps * max(1, theta_3) absolutely.
     """
     return approximation_summary(n, y, ctx).rho
 
@@ -275,32 +283,19 @@ def approximation_summary(
     """Roots, approximation logs, and theta factor, skipping evaluation.
 
     Cheap at any n (the k-sum of f_n is never touched), which is what the
-    command line uses for large-n sweeps.  The theta order depends on y
-    alone, so it is priced before the roots are solved.
+    command line uses for large-n sweeps.  theta_3 is summed by _theta at
+    a = 2 pi^2 / log y: directly up to log y = 2 pi, dually above.
     """
     require_real(n, "n-out-of-domain", "n")
     require_y(y)
+    w_root, r_root = _saddle_roots(n, y, ctx)
     with ctx.prec(_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
-        q = mp.exp(-2 * mp.pi**2 / L)
-        _price_theta(q, ctx.eps)
-    w_root, r_root = _saddle_roots(n, y, ctx)
-    with ctx.prec(_GUARD):
         w, r = w_root.t, r_root.t
         log_bdm = _lambert_form(w, L)
         log_pref = _lambert_form(r, L)
-        z = mp.pi * r / L
-        osc, K = _theta_oscillation(z, q, ctx.eps)
-        # The sum is absolutely accurate only: its tail is below eps, and at
-        # the computed z, with u = 2^-prec, q^(k^2) carries k^2 roundings,
-        # cos(2kz) 1 + 2kz, and the K additions K each: below 8 K^2 (K+z+1) u.
-        err = ctx.eps + mp.ldexp(8 * K * K * (K + z + 1), -mp.prec)
-        if not 1 + osc > err:
-            raise DomainError(
-                "theta-unresolved",
-                f"theta_3 = {mp.nstr(1 + osc, 3)} is not above its error bound {mp.nstr(err, 3)}",
-            )
+        theta, osc, _ = _theta(mp.pi * r / L, 2 * mp.pi**2 / L, ctx.eps)
     with ctx.prec():
         return ApproxSummary(
             n=n,
@@ -309,7 +304,7 @@ def approximation_summary(
             r=r,
             log_bdm=+log_bdm,
             log_thm_prefactor=+log_pref,
-            theta_factor=+(1 + osc),
+            theta_factor=+theta,
             rho=+osc,
         )
 

@@ -5,10 +5,11 @@ All approximate arithmetic in this package runs on mpmath reals at a
 context-fixed mantissa width.  A PrecisionContext with ``bits`` of working
 precision promises results accurate to the relative tolerance
 
-    eps = 2^-(bits - guard_bits)
+    eps = 2^-(bits - GUARD_BITS)
 
-so the guard bits absorb summation-length round-off and the occasional
-ill-conditioned subexpression; bits runs from 53 to PRECISION_BITS_CAP.
+so the GUARD_BITS = 16 guard bits absorb summation-length round-off and
+the occasional ill-conditioned subexpression; bits runs from 53 to
+PRECISION_BITS_CAP.
 Operations given the same context are deterministic: same inputs,
 bit-identical outputs.
 
@@ -47,11 +48,13 @@ EXACT_DIGITS_CAP = 100_000
 # cost grows with it.  The walk's budget counts terms x bits above 128 bits,
 # so eval --y 1.0000023 --n 10000000 (994,654 predicted terms, 3.8-9.4 s at
 # this cap on a shared 2-vCPU x86-64 box, 1.2-1.4 s at 128 bits) is refused
-# here; the theta budget counts terms only.  At the cap quadcheck --y 1e10
-# --n 60 --bits 1024 takes 1.2-1.3 s.
+# here.  At the cap quadcheck --y 1e10 --n 60 --bits 1024 takes 1.2-1.3 s.
 # approximation_summary(10, 2) took 73.6 s at 10^5 bits.  The tests do work
 # at 400 bits at most.
 PRECISION_BITS_CAP = 1024
+
+# Bits of working precision that eps leaves to rounding: eps = 2^-(bits - GUARD_BITS).
+GUARD_BITS = 16
 
 Real = Union[int, float, str, Decimal, Fraction, mpf]
 
@@ -77,20 +80,16 @@ class PrecisionContext:
     """Working mantissa precision in bits plus the derived tolerance policy."""
 
     bits: int = 128
-    guard_bits: int = 16
 
     def __post_init__(self) -> None:
         code = "precision-out-of-domain"
         require_n(self.bits, lo=53, cap=PRECISION_BITS_CAP, cap_code=code, code=code, name="bits")
-        require_n(self.guard_bits, lo=8, code=code, name="guard_bits")
-        if self.guard_bits >= self.bits:
-            raise DomainError(code, "guard_bits must be smaller than bits")
 
     @property
     def eps(self) -> mpf:
-        """Target relative tolerance 2^-(bits - guard_bits)."""
+        """Target relative tolerance 2^-(bits - GUARD_BITS)."""
         with mp.workprec(self.bits):
-            return mpf(2) ** (self.guard_bits - self.bits)
+            return mpf(2) ** (GUARD_BITS - self.bits)
 
     def prec(self, extra: int = 0):
         """Context manager setting mpmath working precision to bits + extra."""
@@ -103,20 +102,23 @@ def as_real(value: Real) -> mpf:
     mpf parses all digits of a decimal string (a Decimal is taken as its
     string) into one int, which Python refuses past 4300 digits: a longer
     string is first rounded, as a Decimal, to 20 digits more than the
-    precision carries.  A Fraction is
+    precision carries, or taken as a Fraction if it is p/q.  A Fraction is
     its numerator rounded, over its denominator taken exactly, with the
     latter's trailing zero bits moved into the numerator's exponent: mpf(int)
     and int operands take an int exactly first, and mpmath drops its
     trailing zero bits 8 at a time, quadratic in their number (1.6 s for
     10^400000, which a decimal y brings)."""
+    if isinstance(value, Decimal):
+        value = str(value)
+    if isinstance(value, str) and len(value) > 4000:
+        if "/" in value:
+            value = Fraction(value)
+        else:
+            value = str(Context(prec=mp.dps + 20).plus(Decimal(value)))
     if isinstance(value, Fraction):
         den = value.denominator
         tz = (den & -den).bit_length() - 1
         return mpf((value.numerator, -tz)) / (den >> tz)
-    if isinstance(value, Decimal):
-        value = str(value)
-    if isinstance(value, str) and len(value) > 4000:
-        value = str(Context(prec=mp.dps + 20).plus(Decimal(value)))
     return mpf(value)
 
 

@@ -37,6 +37,7 @@ from .numerics import (
     ComputationError,
     DomainError,
     ExactRational,
+    GUARD_BITS,
     LogValue,
     PrecisionContext,
     as_real,
@@ -219,7 +220,7 @@ def _term_walk(
     require_n(n, lo=n_min)
     require_y(y)
     P = ctx.bits + _LOOP_GUARD
-    tol = ctx.bits - ctx.guard_bits
+    tol = ctx.bits - GUARD_BITS
     with ctx.prec(_LOOP_GUARD):
         ym = as_real(y)
         L = mp.log(ym)

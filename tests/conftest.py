@@ -48,6 +48,25 @@ def b_series():
     return _b_series
 
 
+def _dual_theta(z, a, prec):
+    """theta_3(z, e^-a) for 0 < a <= pi by Jacobi's dual sum sqrt(pi/a) sum_k
+    e^{-(z - k pi)^2/a} over the fixed window |k - k0| <= 40, k0 = nint(z/pi),
+    at ``prec`` bits: a term outside is below e^{-39.5^2 pi} < 2^-7000 of the
+    largest.  Returned at the working precision."""
+    with mp.workprec(prec):
+        z, a = mpf(z), mpf(a)
+        k0 = int(mp.nint(z / mp.pi))
+        total = mp.fsum(mp.exp(-((z - k * mp.pi) ** 2) / a) for k in range(k0 - 40, k0 + 41))
+        theta = mp.sqrt(mp.pi / a) * total
+    return +theta
+
+
+@pytest.fixture(scope="session")
+def dual_theta():
+    """An independent reference for theta_3 near q = 1 (_dual_theta)."""
+    return _dual_theta
+
+
 # Seconds a test that uses the ``time_limit`` fixture may run.
 TIME_LIMIT_S = 10
 

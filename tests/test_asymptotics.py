@@ -7,6 +7,7 @@ strings, and exact algebraic identities of the saddle equation.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from lacunary_asym import (
     DomainError,
     ORDER_CAP,
     PrecisionContext,
-    THETA_TERMS_CAP,
     approx_bdm,
     approx_theorem,
     approximation_summary,
@@ -116,43 +116,58 @@ class TestTheta3:
         assert a == b
 
     def test_tail_bound_honored(self, ctx):
-        for q in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+        # the direct side, q <= e^-pi: its K is the order of the cos sum
+        for q in (Fraction(1, 100), Fraction(1, 50), Fraction(1, 25)):
             res = theta3(Fraction(1, 7), q, ctx=ctx)
             with ctx.prec(40):
                 qm = mpf(q.numerator) / q.denominator
                 tail = 2 * qm ** ((res.K + 1) ** 2) / (1 - qm)
                 assert tail <= ctx.eps
 
-    def test_tighter_eps_means_more_terms(self, ctx):
-        loose = theta3(1, Fraction(9, 10), eps=Fraction(1, 10**6), ctx=ctx)
-        tight = theta3(1, Fraction(9, 10), eps=Fraction(1, 10**30), ctx=ctx)
-        assert tight.K > loose.K
-        with ctx.prec():
-            assert abs(tight.value - loose.value) <= mpf("1e-6") * 2
+    def test_terms_bounded_at_any_nome(self):
+        # the direct sum took K = 9,599 terms at q = 1 - 1e-6 and kept no
+        # digit (relative error 10^434284); either side now takes a bounded
+        # number of terms
+        for bits, most in ((128, 12), (1024, 32)):
+            ctx = PrecisionContext(bits=bits)
+            for q in ("0", "0.01", "0.0432", "0.0433", "0.5", "0.999999", "0.9999999999999999"):
+                for z in (0, 1, "0.7853981633974483", "1.5707963267948966", "1e30"):
+                    assert theta3(z, q, ctx=ctx).K <= most
 
-    def test_terms_priced_before_the_loop(self, ctx):
-        # at q = 1/2 the loop stops at the first K with 4 2^-(K+1)^2 <= eps;
-        # the prediction (in mpf: eps is below the float range) admits
-        # K = cap - 1 and refuses K = cap + 1; near q = 1 it runs in floats
-        assert theta3(1, "0.999999", ctx=ctx).K == 9599
-        cap = THETA_TERMS_CAP
-        res = theta3(1, Fraction(1, 2), eps=mpf(2) ** (2 - cap**2), ctx=ctx)
-        assert res.K == cap - 1
-        with pytest.raises(DomainError) as exc:
-            theta3(1, Fraction(1, 2), eps=mpf(2) ** (2 - (cap + 2) ** 2), ctx=ctx)
-        assert exc.value.code == "theta-terms-exceeded"
+    def test_regression_q_09(self, ctx):
+        # the direct sum was 28.7 eps off
+        got = theta3(1, "0.9", ctx=ctx).value
+        with mp.workprec(3 * ctx.bits):
+            want = mp.jtheta(3, 1, mpf("0.9"))
+            assert abs(got - want) <= ctx.eps * want
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    @pytest.mark.parametrize("side", ["direct", "dual"])
+    @settings(derandomize=True, max_examples=25)
+    @given(z=st.floats(-1e30, 1e30), u=st.floats(0, 1))
+    def test_within_eps_of_a_reference(self, dual_theta, side, bits, z, u):
+        # q in [0, 0.0432] has a = -log q >= pi, q in [0.04322, 1 - 9.6e-17]
+        # a < pi; q is a decimal, so that rounding it is part of the error.
+        # The references run at over 3x the bits.
+        if side == "direct":
+            q = Decimal(repr(u * 0.0432))
+        else:
+            q = 1 - Decimal(repr(0.95678 * 10 ** (-16 * u)))
+        ctx = PrecisionContext(bits=bits)
+        got = theta3(z, str(q), ctx=ctx).value
+        with mp.workprec(3 * bits + 64):
+            qm = mpf(str(q))
+            if q <= Decimal("0.9"):
+                want = mp.jtheta(3, mpf(z), qm)
+            else:
+                want = dual_theta(z, -mp.log(qm), mp.prec)
+            assert abs(got - want) <= ctx.eps * want
 
     def test_nome_domain(self, ctx):
         for bad in (1, Fraction(11, 10), Fraction(-1, 10)):
             with pytest.raises(DomainError) as exc:
                 theta3(0, bad, ctx=ctx)
             assert exc.value.code == "nome-out-of-domain"
-
-    def test_eps_domain(self, ctx):
-        for bad in (0, Fraction(-1, 10)):
-            with pytest.raises(DomainError) as exc:
-                theta3(0, Fraction(1, 2), eps=bad, ctx=ctx)
-            assert exc.value.code == "eps-out-of-domain"
 
 
 class TestSaddleData:
@@ -350,21 +365,34 @@ class TestApproximationSummary:
         assert s.log_bdm > s.log_thm_prefactor > 0
 
     def test_theta_priced_before_the_roots(self, monkeypatch):
-        # the nome depends on y alone: a refused theta order solved both
-        # roots first; invalid n and y still get their own codes first
+        # theta_3 takes a bounded number of terms at any y, so no theta order
+        # is priced any more; invalid n and y still get their own codes
+        # before the roots are solved
         def no_roots(*args):
             raise AssertionError("the roots were solved")
 
         monkeypatch.setattr(asymptotics, "_saddle_roots", no_roots)
         ctx = PrecisionContext(bits=1024)
         for n, y, code in (
-            (10, "1e2999999", "theta-terms-exceeded"),
             (0, "1e2999999", "n-out-of-domain"),
             (10, 1, "y-out-of-domain"),
         ):
             with pytest.raises(DomainError) as exc:
                 approximation_summary(n, y, ctx)
             assert exc.value.code == code
+
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_theta_within_eps_at_y_1e280(self, ctx, dual_theta, n):
+        # the direct sum printed 2.316e-34 for 2.335e-34 at n = 2, and from
+        # y = 1e290 on refused every row; the reference solves r at 3x the bits
+        s = approximation_summary(n, "1e280", ctx)
+        ref_ctx = PrecisionContext(bits=3 * ctx.bits)
+        r = solve_r(n, "1e280", ref_ctx).t
+        with ref_ctx.prec():
+            L = mp.log(mpf("1e280"))
+            want = dual_theta(mp.pi * r / L, 2 * mp.pi**2 / L, mp.prec)
+            assert abs(s.theta_factor - want) <= ctx.eps * want
+            assert abs(s.rho - (want - 1)) <= ctx.eps
 
 
 class TestApproxTheorem:

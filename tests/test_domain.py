@@ -301,47 +301,8 @@ CASES = [
         EXIT_USAGE,
         id="cli approx --bits 1025",
     ),
-    # series orders past their caps, each priced before its loop: theta_3 at
-    # q = 1 - 1e-8 took 2.76 s (K = 98,359), saddle_data at K = 800 3.0 s,
-    # euler_frobenius(2000) 7.8 s
-    pytest.param(
-        lambda: theta3(0, "0.99999999"), "theta-terms-exceeded", id="theta3(0, 1 - 1e-8)"
-    ),
-    pytest.param(
-        lambda: theta3(0, "0.5", eps="1e-1000000000"),
-        "theta-terms-exceeded",
-        id="theta3(0, 0.5, eps=1e-1000000000)",
-    ),
-    pytest.param(
-        lambda: approximation_summary(10, "1e1000000000"),
-        "theta-terms-exceeded",
-        id="approximation_summary(10, '1e1000000000')",
-    ),
-    pytest.param(
-        lambda: rho(10, "1e1000000000"), "theta-terms-exceeded", id="rho(10, '1e1000000000')"
-    ),
-    pytest.param(
-        ["approx", "--y", "1e2000000", "--n", "10", "--bits", "1024"],
-        EXIT_DOMAIN,
-        id="cli approx --y 1e2000000 --bits 1024",
-    ),
-    # theta is priced before the two root solves; the row's time is the parse of y
-    pytest.param(
-        ["approx", "--y", "1e2999999", "--n", "10", "--bits", "1024"],
-        EXIT_DOMAIN,
-        id="cli approx --y 1e2999999 --bits 1024",
-    ),
-    # theta_3 below the absolute error of its sum: the row printed
-    # theta_factor = -2.8e-37 and a complex ratio_thm, and exited 0
-    pytest.param(
-        lambda: approximation_summary(2, "1e3000"),
-        "theta-unresolved",
-        id="approximation_summary(2, '1e3000')",
-    ),
-    pytest.param(lambda: rho(2, "1e3000"), "theta-unresolved", id="rho(2, '1e3000')"),
-    pytest.param(
-        ["compare", "--y", "1e3000", "--n", "2"], EXIT_DOMAIN, id="cli compare --y 1e3000 --n 2"
-    ),
+    # series orders past their caps, each priced before its loop:
+    # saddle_data at K = 800 took 3.0 s, euler_frobenius(2000) 7.8 s
     pytest.param(
         lambda: saddle_data(10, 2, K=800), "order-cap-exceeded", id="saddle_data(10, 2, K=800)"
     ),
@@ -389,6 +350,67 @@ def test_rejected_with_a_code(case, expected, capsys):
         assert len(err) < 200
 
 
+# Calls refused while theta_3 was summed only directly: its order passed a
+# term cap (theta-terms-exceeded; q = 1 - 1e-8 took 2.76 s for K = 98,359),
+# or the value fell below the absolute error of the sum (theta-unresolved;
+# at y = 1e3000 the row printed theta_factor = -2.8e-37).  Jacobi's dual
+# sum answers each; the reference is the fixed-window dual sum at 3x the
+# bits, taken at the root r the call itself solved.
+ANSWERED = [
+    pytest.param("theta3", (0, "0.99999999"), 128, id="theta3(0, 1 - 1e-8)"),
+    pytest.param(
+        "summary", (10, "1e1000000000"), 128, id="approximation_summary(10, '1e1000000000')"
+    ),
+    pytest.param("rho", (10, "1e1000000000"), 128, id="rho(10, '1e1000000000')"),
+    pytest.param("approx", (10, "1e2000000"), 1024, id="cli approx --y 1e2000000 --bits 1024"),
+    pytest.param("approx", (10, "1e2999999"), 1024, id="cli approx --y 1e2999999 --bits 1024"),
+    pytest.param("summary", (2, "1e3000"), 128, id="approximation_summary(2, '1e3000')"),
+    pytest.param("rho", (2, "1e3000"), 128, id="rho(2, '1e3000')"),
+    pytest.param("compare", (2, "1e3000"), 128, id="cli compare --y 1e3000 --n 2"),
+]
+
+
+def theta_at_own_root(n, y, ctx, dual_theta):
+    """approximation_summary(n, y) and theta_3 at its root r, by the dual sum
+    at 3x the bits."""
+    s = approximation_summary(n, y, ctx)
+    with mp.workprec(3 * ctx.bits):
+        L = mp.log(mpf(y))
+        return s, dual_theta(mp.pi * s.r / L, 2 * mp.pi**2 / L, mp.prec)
+
+
+def cli_column(argv, name, capsys):
+    """One column of a one-row csv run of the CLI, after asserting exit 0."""
+    assert cli.main([*argv, "--format", "csv"]) == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    return row.split(",")[header.split(",").index(name)]
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("case, args, bits", ANSWERED)
+def test_answered_where_theta_was_refused(case, args, bits, dual_theta, capsys):
+    ctx = PrecisionContext(bits=bits)
+    if case == "theta3":
+        z, q = args
+        got = theta3(z, q, ctx=ctx).value
+        with mp.workprec(3 * bits):
+            want = dual_theta(z, -mp.log(mpf(q)), mp.prec)
+            assert abs(got - want) <= ctx.eps * want
+        return
+    n, y = args
+    s, want = theta_at_own_root(n, y, ctx, dual_theta)
+    with mp.workprec(3 * bits):
+        if case == "summary":
+            assert abs(s.theta_factor - want) <= ctx.eps * want
+        elif case == "rho":
+            # the dual side's rho is theta_3 - 1, within eps max(1, theta_3)
+            assert abs(rho(n, y, ctx) - (want - 1)) <= ctx.eps * max(1, want)
+        else:  # printed to bits log10(2) - 2 digits, under eps more
+            argv = [case, "--y", y, "--n", str(n), "--bits", str(bits)]
+            got = mpf(cli_column(argv, "theta_factor", capsys))
+            assert abs(got - want) <= 2 * ctx.eps * want
+
+
 @pytest.mark.usefixtures("time_limit")
 def test_long_decimal_y_is_rounded_not_parsed_whole():
     # mpf("1.000...01") with 5000 zeros raised a raw ValueError (4300-digit limit)
@@ -396,6 +418,14 @@ def test_long_decimal_y_is_rounded_not_parsed_whole():
     assert eval_float(3, near_one)[0] == 8  # y rounds to 1 at any working precision
     with mp.workprec(100):
         assert as_real("0." + "3" * 10**6) == mpf(1) / 3
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_long_fraction_string_y_is_taken_as_a_fraction():
+    # as_real sent every string of over 4000 characters through Decimal,
+    # which cannot parse p/q: a raw decimal.InvalidOperation
+    text = "1" * 2100 + "/" + "1" * 2000
+    assert eval_log(5, text) == eval_log(5, Fraction(text))
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -410,17 +440,20 @@ def test_long_decimal_y_is_exact_in_exact_mode_and_the_cli(capsys):
 
 
 @pytest.mark.usefixtures("time_limit")
-def test_decimal_y_with_a_huge_exponent_converts_at_once(capsys):
+def test_decimal_y_with_a_huge_exponent_converts_at_once(capsys, dual_theta):
     # mpmath stripped the 4M trailing zero bits of 10^1200000 eight at a
     # time on each of ~21 conversions: 33 s for one row
     start = time.perf_counter()
     residual_relations(10, Fraction(10**1200000))
     assert cli.main(["solve", "--y", "1e1200000", "--n", "10", "--format", "csv"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].startswith("10,1.0e+1200000,")
-    # approx converts as often, then refuses: theta_3 ~ e^-350000 there, below
-    # the absolute error of its sum (the row printed 7.0e-40 and rho = -1.0)
-    assert cli.main(["approx", "--y", "1e1200000", "--n", "10"]) == EXIT_DOMAIN
-    assert "theta-unresolved" in capsys.readouterr().err
+    # approx converts as often: theta_3 ~ e^-350000 there, which the direct
+    # sum could not resolve (the row printed 7.0e-40 and rho = -1.0)
+    got = cli_column(["approx", "--y", "1e1200000", "--n", "10"], "theta_factor", capsys)
+    ctx = PrecisionContext()
+    _, want = theta_at_own_root(10, "1e1200000", ctx, dual_theta)
+    with mp.workprec(3 * ctx.bits):
+        assert abs(mpf(got) - want) <= 2 * ctx.eps * want
     assert time.perf_counter() - start < 5
 
 

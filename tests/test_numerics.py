@@ -7,27 +7,22 @@ from lacunary_asym import (
     PrecisionContext,
     as_real,
 )
+from lacunary_asym.numerics import GUARD_BITS
 
 
 class TestPrecisionContext:
     def test_defaults(self):
         ctx = PrecisionContext()
         assert ctx.bits == 128
-        assert ctx.guard_bits == 16
+        assert GUARD_BITS == 16
 
     def test_eps_is_two_to_guard_minus_bits(self):
-        ctx = PrecisionContext(bits=128, guard_bits=16)
-        assert ctx.eps == mpf(2) ** -112
+        assert PrecisionContext(bits=128).eps == mpf(2) ** -112
+        assert PrecisionContext(bits=53).eps == mpf(2) ** -37
 
     def test_rejects_low_bits(self):
         with pytest.raises(ValueError):
             PrecisionContext(bits=52)
-
-    def test_rejects_bad_guard(self):
-        with pytest.raises(ValueError):
-            PrecisionContext(bits=64, guard_bits=4)
-        with pytest.raises(ValueError):
-            PrecisionContext(bits=64, guard_bits=64)
 
     def test_prec_scopes_working_precision(self):
         ctx = PrecisionContext(bits=100)

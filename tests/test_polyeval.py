@@ -29,6 +29,7 @@ from lacunary_asym import (
     forward_difference,
 )
 from lacunary_asym import polyeval as pe
+from lacunary_asym.numerics import GUARD_BITS
 
 
 def brute_f(n: int, y: Fraction) -> Fraction:
@@ -313,7 +314,7 @@ class TestWalkBudget:
             L = float(mp.log(as_real(Fraction(y))))
         for n in (10, 100, 1000, 10**4, 10**5):
             _, report = eval_float(n, Fraction(y), ctx)
-            predicted = pe._walk_terms(n, L, ctx.bits - ctx.guard_bits)
+            predicted = pe._walk_terms(n, L, ctx.bits - GUARD_BITS)
             assert report.terms_used <= predicted <= 2 * report.terms_used
 
     def test_y_rounded_to_1_predicts_every_term(self, ctx):
