@@ -5,6 +5,7 @@ defining equations (checked into the assertions below), constructed
 inputs with known closed-form roots, and round-trip identities.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,73 @@ W_2E = "1.37482252818362338161783731711191034757803683"  # W(2e)
 R_2_2 = "0.604312801713753697777079000676161532165267546"  # r: n=2, y=2
 W_10_2 = "1.73286795139986327354308030364544142018875034"  # w: n=10, y=2
 R_10_2 = "1.57259822145192937656005000965250394896062714"  # r: n=10, y=2
+
+
+# Pinned roots: SHA-256 (first 16 hex digits) of the _mpf_ tuples that
+# _saddle_roots returns for (w, r) over PIN_N, one digest per (bits, y), and
+# of lambert_w over PIN_X per bits.  A root that cannot be certified enters
+# as its error code.
+PIN_N = (2, 3, 10, 10**3, 10**6, 10**15, Fraction(5, 2))
+PIN_X = ("1e-400", "1e-9", 1, "e", "2e", "1e9", "1e30", "1e400")
+PINNED_LAMBERT = {
+    53: "f151c1969969724a",
+    128: "9d2c6d8d21c3be8c",
+    400: "d378f3e689a65fd0",
+    1024: "0455f95c66294703",
+}
+PINNED_SADDLE = {
+    (53, "1.0000000001"): "2df86b927c228f5e",
+    (53, "1.000001"): "c0025617bb7ef176",
+    (53, "1.0001"): "27ebcdcd7020f6ec",
+    (53, "3/2"): "40ca74ebacafe03b",
+    (53, "2"): "bc9f131816ea3218",
+    (53, "100"): "c618bae4c96edb6f",
+    (53, "1e10"): "915ba751aba9fa0a",
+    (53, "1e280"): "d142c642e799bc49",
+    (53, "1e2999999"): "e7cceabab7b716bf",
+    (128, "1.0000000001"): "7d9349a75ba0a9ca",
+    (128, "1.000001"): "f2598d2110d5631c",
+    (128, "1.0001"): "aa925339f7c182f8",
+    (128, "3/2"): "29d9f1072bcebc6c",
+    (128, "2"): "3325ed4961b00007",
+    (128, "100"): "95e198c13e859d77",
+    (128, "1e10"): "fd7265fc78d29ea6",
+    (128, "1e280"): "24a1aa32d71a19b9",
+    (128, "1e2999999"): "7f228cc42e8b4800",
+    (400, "1.0000000001"): "6df9a48c63be1380",
+    (400, "1.000001"): "0fb051b18e45f688",
+    (400, "1.0001"): "3968702491ec7dd2",
+    (400, "3/2"): "a9ae9f92204807a0",
+    (400, "2"): "f326cf8378cb28c1",
+    (400, "100"): "4ff1bdb8691a21ec",
+    (400, "1e10"): "4421736b52a12023",
+    (400, "1e280"): "18f04274c1f4d05f",
+    (400, "1e2999999"): "262e5a74dd3eff5b",
+    (1024, "1.0000000001"): "286f4bc3422a8b31",
+    (1024, "1.000001"): "11bf90af023de103",
+    (1024, "1.0001"): "131e8927f687d3ff",
+    (1024, "3/2"): "079670d4d931c99e",
+    (1024, "2"): "daa55e8298b85969",
+    (1024, "100"): "469d8c8a6de64bba",
+    (1024, "1e10"): "2be41fe8ad02042d",
+    (1024, "1e280"): "6684cbd3b184554d",
+    (1024, "1e2999999"): "04055b071cc98bbd",
+}
+
+
+def _pin_digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+
+
+def _pin_y(text):
+    return Fraction(text) if "/" in text or text.isdigit() else text
+
+
+def _pin_x(text):
+    if text in ("e", "2e"):
+        with mp.workprec(1100):
+            return int(text[:-1] or 1) * mp.e
+    return text
 
 
 def close(got, digits, ctx, factor=8):
@@ -272,6 +340,27 @@ class TestDivergenceGuard:
         with pytest.raises(ComputationError) as exc:
             lambert_w(10, ctx)
         assert exc.value.code == "solver-diverged"
+
+
+class TestPinnedRoots:
+    """The roots themselves, bit for bit, across precisions and extreme y."""
+
+    @pytest.mark.parametrize("bits", sorted(PINNED_LAMBERT))
+    def test_lambert_w(self, bits):
+        ctx = PrecisionContext(bits)
+        roots = [lambert_w(_pin_x(x), ctx).t._mpf_ for x in PIN_X]
+        assert _pin_digest(roots) == PINNED_LAMBERT[bits]
+
+    @pytest.mark.parametrize("bits, y", sorted(PINNED_SADDLE))
+    def test_saddle_roots(self, bits, y):
+        ctx = PrecisionContext(bits)
+        roots = []
+        for n in PIN_N:
+            try:
+                roots.append(tuple(res.t._mpf_ for res in sv._saddle_roots(n, _pin_y(y), ctx)))
+            except ComputationError as exc:
+                roots.append(exc.code)
+        assert _pin_digest(roots) == PINNED_SADDLE[(bits, y)]
 
 
 class TestRootResultShape:
