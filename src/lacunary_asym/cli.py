@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -101,16 +102,24 @@ class RunConfig:
         return PrecisionContext(bits=self.bits)
 
 
+@functools.lru_cache(maxsize=None)
+def _fixed_range(prec: int) -> Tuple[mpf, mpf]:
+    """The bounds 1e-4 and 1e6 of fixed-point output, rounded at prec bits."""
+    with mp.workprec(prec):
+        return mpf("1e-4"), mpf("1e6")
+
+
 def _format_real(x: mpf, sig: int) -> str:
-    """Decimal with sig significant digits; fixed inside [1e-4, 1e6]."""
+    """Decimal with sig significant digits; fixed inside [1e-4, 1e6], the
+    bounds rounded at the working precision."""
     if mp.isnan(x):
         return "nan"
     if mp.isinf(x):
         return "inf" if x > 0 else "-inf"
     if x == 0:
         return "0.0"
-    ax = abs(x)
-    if mpf("1e-4") <= ax <= mpf("1e6"):
+    lo, hi = _fixed_range(mp.prec)
+    if lo <= abs(x) <= hi:
         return mp.nstr(x, sig, min_fixed=-(10**9), max_fixed=10**9)
     return mp.nstr(x, sig, min_fixed=0, max_fixed=0)
 

@@ -88,8 +88,7 @@ class PrecisionContext:
     @property
     def eps(self) -> mpf:
         """Target relative tolerance 2^-(bits - GUARD_BITS)."""
-        with mp.workprec(self.bits):
-            return mpf(2) ** (GUARD_BITS - self.bits)
+        return mp.ldexp(1, GUARD_BITS - self.bits)
 
     def prec(self, extra: int = 0):
         """Context manager setting mpmath working precision to bits + extra."""

@@ -9,13 +9,14 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from lacunary_asym import (
     DomainError,
     ComputationError,
+    LacunaryError,
     PrecisionContext,
     RootResult,
     approx_theorem,
@@ -26,6 +27,7 @@ from lacunary_asym import (
     solve_w,
 )
 from lacunary_asym import solvers as sv
+from lacunary_asym.numerics import as_real
 
 # 400-bit reference digits, frozen.
 OMEGA = "0.567143290409783872999968662210355549753815787"  # W(1)
@@ -361,6 +363,114 @@ class TestPinnedRoots:
             except ComputationError as exc:
                 roots.append(exc.code)
         assert _pin_digest(roots) == PINNED_SADDLE[(bits, y)]
+
+
+# The sweep's y values and n log-uniform over [10, 1e15], 29 points.
+SWEEP_YS = (Fraction(3, 2), 2, 4, 100)
+SWEEP_NS = tuple(round(10 ** (1 + j / 2)) for j in range(29))
+
+
+class TestIterationCounts:
+    """Halley from a float64 seed: one step at 128 bits, at most three at
+    1024 (53 seeded bits triple to 159, 477, 1431)."""
+
+    @pytest.mark.parametrize("y", SWEEP_YS)
+    def test_one_step_at_128_bits(self, y):
+        ctx = PrecisionContext(128)
+        for n in SWEEP_NS:
+            w, r = sv._saddle_roots(n, y, ctx)
+            assert (w.iterations, r.iterations) == (1, 1), n
+
+    @pytest.mark.parametrize("y", SWEEP_YS)
+    def test_at_most_three_steps_at_1024_bits(self, y):
+        ctx = PrecisionContext(1024)
+        for n in SWEEP_NS[::4]:
+            w, r = sv._saddle_roots(n, y, ctx)
+            assert 1 <= w.iterations <= 3 and 1 <= r.iterations <= 3, n
+
+    @pytest.mark.parametrize("x", ["1e400", "1e-400", "1e-300", "1e308"])
+    def test_lambert_seed_edges_converge(self, ctx, x):
+        # x beyond float range, with log x inside it; x below 1e-300, where
+        # the seed is x itself
+        res = lambert_w(x, ctx)
+        assert res.iterations <= sv.MAX_ITER
+        with ctx.prec(40):
+            assert abs(res.residual) <= 4 * ctx.eps * mpf(x) * (1 + mpf("1e-10"))
+
+    @pytest.mark.parametrize("n", [2, 10, 10**6])
+    def test_huge_y_converges(self, ctx, n):
+        y = "1e2999999"
+        res = solve_r(n, y, ctx)
+        assert res.iterations <= sv.MAX_ITER
+        with ctx.prec(40):
+            ym = mpf(y)
+            rhs = n * mp.sqrt(ym) * mp.log(ym)
+            assert abs(res.residual) <= 4 * ctx.eps * rhs * (1 + mpf("1e-10"))
+
+
+def _magnitude(lo_exp, hi_exp):
+    """Decimal strings m e k, and the same as mpf, for k in [lo_exp, hi_exp]."""
+    text = st.builds(
+        lambda m, k: f"{m}e{k}",
+        st.sampled_from(["1", "2.5", "3.7", "9.99"]),
+        st.integers(lo_exp, hi_exp),
+    )
+    return st.one_of(text, text.map(mpf))
+
+
+# y from 1 + 2^-200 (an exact rational, and a string) up to 1e3000
+_Y = st.one_of(
+    st.integers(1, 200).map(lambda k: 1 + Fraction(1, 2**k)),
+    st.integers(1, 30).map(lambda k: "1." + "0" * k + "1"),
+    _magnitude(0, 2999),
+)
+
+
+def _certified(call, rhs_of, ctx):
+    """The root of call() with its residual within 4 eps rhs, or None
+    where call() raised a coded error."""
+    try:
+        res = call()
+    except LacunaryError:
+        return None
+    with ctx.prec(40):
+        rhs = rhs_of()
+        assert abs(res.residual) <= RESID_BOUND * ctx.eps * rhs * (1 + mpf("1e-10"))
+    return res
+
+
+def _saddle_rhs(n, y):
+    ym = as_real(y)
+    return as_real(n) * mp.sqrt(ym) * mp.log(ym)
+
+
+RESID_BOUND = sv.RESID_TOL_FACTOR
+
+
+class TestSolverContract:
+    """Public solver entry points on hostile magnitudes: a certified root
+    or a LacunaryError, never a raw float error from the seed."""
+
+    @given(
+        x=_magnitude(-400, 400),
+        n=_magnitude(-400, 400),
+        y=_Y,
+        bits=st.sampled_from([53, 128]),
+    )
+    @example(x=mpf(2) ** (2**1030), n="1e400", y="1e2999", bits=128)
+    @settings(derandomize=True, max_examples=300)
+    def test_certified_root_or_coded_error(self, x, n, y, bits):
+        ctx = PrecisionContext(bits)
+        _certified(lambda: lambert_w(x, ctx), lambda: as_real(x), ctx)
+        w = _certified(lambda: solve_w(n, y, ctx), lambda: _saddle_rhs(n, y), ctx)
+        r = _certified(lambda: solve_r(n, y, ctx), lambda: _saddle_rhs(n, y), ctx)
+        try:
+            rel = residual_relations(n, y, ctx)
+        except LacunaryError:
+            assert w is None or r is None
+        else:
+            assert (rel.w, rel.r) == (w.t, r.t)
+            assert 0 < rel.r <= rel.w
 
 
 class TestRootResultShape:
