@@ -52,9 +52,6 @@ _SOLVER_GUARD = 24
 # Float seeds need x (or rhs) and its log inside float range, with room.
 _FLOAT_TINY = 1e-300
 _FLOAT_HUGE = 1e308
-# Newton steps a float seed may take; from the sides used it converges
-# monotonically, and quadratically once close, in a handful.
-_FLOAT_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,10 @@ class RootResult:
 def _float_newton(f: Callable[[float], Tuple[float, float]], t: float, unit: float = 0.0) -> float:
     """Newton on f(t) -> (value, slope) in floats, until a step falls below
     2^-50 of max(|t|, unit): the next one would be lost to rounding.  unit
-    = 1 suits a log variable, whose absolute steps are relative ones."""
-    for _ in range(_FLOAT_ITER):
+    = 1 suits a log variable, whose absolute steps are relative ones.  From
+    the sides the seeds start on it converges monotonically, in a handful of
+    steps; MAX_ITER bounds it all the same."""
+    for _ in range(MAX_ITER):
         value, slope = f(t)
         step = value / slope
         t -= step

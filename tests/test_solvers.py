@@ -435,16 +435,13 @@ def _certified(call, rhs_of, ctx):
         return None
     with ctx.prec(40):
         rhs = rhs_of()
-        assert abs(res.residual) <= RESID_BOUND * ctx.eps * rhs * (1 + mpf("1e-10"))
+        assert abs(res.residual) <= sv.RESID_TOL_FACTOR * ctx.eps * rhs * (1 + mpf("1e-10"))
     return res
 
 
 def _saddle_rhs(n, y):
     ym = as_real(y)
     return as_real(n) * mp.sqrt(ym) * mp.log(ym)
-
-
-RESID_BOUND = sv.RESID_TOL_FACTOR
 
 
 class TestSolverContract:
