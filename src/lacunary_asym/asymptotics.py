@@ -43,7 +43,7 @@ from .numerics import (
     require_n,
     require_real,
     require_resolved,
-    require_y,
+    y_and_log,
 )
 from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r
@@ -135,19 +135,20 @@ def _b_closed_form(n, x, orders: range, ctx: PrecisionContext) -> List[mpc]:
     where 2^-W m! <= |x| <= 2^W / m! it is summed exactly in ints; outside, -x
     or (-x)^m is within 2^-W of it, as c_1 = c_m = 1 and the c_j sum to m!.
     n, 1+x, its power, nu! and three products add under nu + 8 roundings at W
-    bits: each b_nu is within eps of the closed form at x, zeros included."""
+    bits: each b_nu is within eps of the closed form at x, zeros included.
+    At nu = 1 the numerator is -x exactly: P_0 = 1 also counts k = 0."""
     with ctx.prec(_GUARD):
         n_m, xm = as_real(n), as_real(x)
         if xm == -1:
             raise DomainError("x-out-of-domain", "x = -1 is the pole of b_nu")
-        man, exp = xm.man_exp
-        mag = exp + abs(man).bit_length()  # 2^(mag-1) <= |x| < 2^mag
-        s, N = max(-exp, 0), -man << max(exp, 0)  # -x = N 2^-s
+        sign, man, exp, _ = xm._mpf_  # x = (-1)^sign man 2^exp
+        mag = exp + man.bit_length()  # 2^(mag-1) <= |x| < 2^mag
+        s, N = max(-exp, 0), (man if sign else -man) << max(exp, 0)  # -x = N 2^-s
         rows, b = _euler_frobenius_rows(orders[-1] - 1), []
         for nu in orders:
             m = nu - 1
-            if m and abs(mag) > mp.prec + math.factorial(m).bit_length() + 1:
-                p = -xm if mag < 0 else (-xm) ** m
+            if not m or abs(mag) > mp.prec + math.factorial(m).bit_length() + 1:
+                p = -xm if not m or mag < 0 else (-xm) ** m
             else:
                 acc = 0
                 for j, c in enumerate(reversed(rows[m])):  # 2^(s m) P_m(-x), Horner
@@ -174,20 +175,19 @@ def saddle_data(
     _require_order(K, "K", lo=3)
     root = solve_r(n, y, ctx)
     with ctx.prec(_GUARD):
-        ym = as_real(y)
-        L = mp.log(ym)
-        r = root.t
+        ym, L = y_and_log(y)
+        n_m, r = as_real(n), root.t
         x = mp.sqrt(ym) * mp.exp(-r)
         # x(n) decreases strictly in n and x(1) = 1 identically (the n=1
         # root is exactly (log y)/2), so the hypothesis x < 1 is n >= 2.
-        if n < 2 or x >= 1:
+        if n_m < 2 or x >= 1:
             raise DomainError(
                 "saddle-hypothesis-violated",
                 f"sqrt(y) e^(-r) = {mp.nstr(x, 8)} not < 1 at n={n}; "
                 "smallest admissible n is 2",
             )
-        psi0 = r * r / (2 * L) + n * mp.log1p(x)
-        a = 1 / (2 * L) + n * x / (2 * (1 + x) ** 2)
+        psi0 = r * r / (2 * L) + n_m * mp.log1p(x)
+        a = 1 / (2 * L) + n_m * x / (2 * (1 + x) ** 2)
     with ctx.prec():
         x = +x  # b is within eps of the closed form at the returned x
         b = tuple(_b_closed_form(n, x, range(3, K + 1), ctx))
@@ -286,12 +286,9 @@ def approximation_summary(
     command line uses for large-n sweeps.  theta_3 is summed by _theta at
     a = 2 pi^2 / log y: directly up to log y = 2 pi, dually above.
     """
-    require_real(n, "n-out-of-domain", "n")
-    require_y(y)
     w_root, r_root = _saddle_roots(n, y, ctx)
     with ctx.prec(_GUARD):
-        ym = as_real(y)
-        L = mp.log(ym)
+        ym, L = y_and_log(y)
         w, r = w_root.t, r_root.t
         log_bdm = _lambert_form(w, L)
         log_pref = _lambert_form(r, L)
@@ -345,7 +342,7 @@ def proof_residuals(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> ProofResi
     """
     data = saddle_data(n, y, K=3, ctx=ctx)
     with ctx.prec(_GUARD):
-        L = mp.log(data.y)
+        L = y_and_log(y)[1]
         r, x, a = data.r, data.x, data.a
         ident = 2 * a * L - 1 - r / (1 + x)
         psi0_res = data.psi0 - (r * r + 2 * r) / (2 * L)

@@ -46,15 +46,14 @@ from .numerics import (
     to_fraction,
 )
 from .polyeval import certify_absolute_monotonicity, eval_exact, eval_log
-from .quadrature import integrate_original, integrate_shifted
+from .quadrature import DEFAULT_TARGET_EPS, integrate_original, integrate_shifted
 from .solvers import residual_relations
 
 DEFAULT_BITS = 128
 BITS_ENV_VAR = "LACUNARY_BITS"
 
-# quadcheck gates and target, sized for the default 128-bit precision
+# quadcheck's n gate, sized for the default 128-bit precision
 QUADCHECK_N_CAP = 60
-QUADCHECK_TOL = "1e-20"
 
 # Most --n-factor steps a geometric grid may take: the work budget that
 # keeps a factor close to 1 from looping for hours.
@@ -150,13 +149,11 @@ def _resolve_n_grid(args: argparse.Namespace, floor: int) -> Tuple[int, ...]:
             raise UsageError("need 1 <= --n-from <= --n-to <= 1.8e308")
         if math.log(n_to / n_from) / math.log(factor) > GRID_STEP_CAP:
             raise UsageError(f"n grid longer than {GRID_STEP_CAP} steps; raise --n-factor")
-        values = []
-        current = float(n_from)
+        # the walk is in floats; beyond 2^53 float(n_from) can round off n_from
+        values, current = [n_from], float(n_from) * factor
         while math.isfinite(current) and round(current) <= n_to:
-            values.append(int(round(current)))
+            values.append(max(round(current), n_from))
             current *= factor
-        if not values:  # float(n_from) can round above n_to beyond 2^53
-            raise UsageError("empty n range")
     else:
         raise UsageError("one of --n or --n-from/--n-to is required")
     for v in values:
@@ -209,10 +206,10 @@ def _compare_cells(config: RunConfig, n: int) -> Dict[str, object]:
 def _quadcheck_cells(config: RunConfig, n: int) -> Dict[str, object]:
     require_n(n, cap=QUADCHECK_N_CAP, cap_code="quad-cap")
     ctx = config.ctx
-    tol = mpf(QUADCHECK_TOL)
+    tol = mpf(DEFAULT_TARGET_EPS)
     exact = eval_exact(n, config.y)
-    orig = integrate_original(n, config.y, ctx, tol)
-    shift = integrate_shifted(n, config.y, ctx, tol)
+    orig = integrate_original(n, config.y, ctx)
+    shift = integrate_shifted(n, config.y, ctx)
     with ctx.prec():
         f = as_real(exact)
         dev_o = abs(orig.value - f) / f

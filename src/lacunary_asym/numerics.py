@@ -235,6 +235,15 @@ def require_y(y, *, exact: bool = False):
     return require_real(y, "y-out-of-domain", "y", above=0 if exact else 1, exact=exact)
 
 
+def y_and_log(y):
+    """(y, log y) at the active precision, y past require_y; y-out-of-domain where log y = 0."""
+    ym = as_real(y)
+    L = mp.log(ym)
+    if L == 0:
+        raise DomainError("y-out-of-domain", f"y = {brief(y)} rounds to 1 at {mp.prec} bits")
+    return ym, L
+
+
 def require_n(
     n,
     *,

@@ -32,7 +32,8 @@ where the answer is ~2^-450 against an O(1) integrand), and flat roundoff
 must stay below the relative target of the result.  The plan (_plan)
 predicts the first pass's points times working bits before any row is
 built and refuses more than QUAD_WORK_CAP (quad-work-exceeded); each step
-halving is priced the same way before its row.
+halving is priced the same way before its row, which alone ends step
+halving that does not converge.
 
 The three integrators share one routine, _integrate, and one domain: an
 integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
@@ -51,7 +52,6 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .numerics import (
     DEFAULT_CTX,
-    ComputationError,
     DomainError,
     PrecisionContext,
     as_real,
@@ -59,6 +59,7 @@ from .numerics import (
     require_n,
     require_resolved,
     require_y,
+    y_and_log,
 )
 from .solvers import solve_r
 
@@ -67,7 +68,6 @@ from .solvers import solve_r
 QUAD_N_CAP = 200
 FOURIER_K_CAP = 64
 
-MAX_HALVINGS = 20
 DEFAULT_TARGET_EPS = "1e-20"
 
 _GUARD = 32
@@ -95,14 +95,9 @@ class QuadratureResult:
     extra_bits: int  # bits above the working precision against cancellation
 
 
-def _original(ym: mpf, L: mpf) -> Tuple[mpf, mpf, mpf]:
-    """(log A, beta, c) of the real-axis integrand: A = 1, no phase, c = sqrt(y)."""
-    return mpf(0), mpf(0), mp.sqrt(ym)
-
-
 def _shifted(r: mpf) -> Callable[[mpf, mpf], Tuple[mpf, mpf, mpf]]:
     """(log A, beta, c) of the integrand on Im s = r, from s -> s + ir:
-    A = e^{r^2/(2L)}, beta = -r/L, c = sqrt(y) e^{-r}."""
+    A = e^{r^2/(2L)}, beta = -r/L, c = sqrt(y) e^{-r}; at r = 0 exactly the real axis's."""
     return lambda ym, L: (r * r / (2 * L), -r / L, mp.sqrt(ym) * mp.exp(-r))
 
 
@@ -113,8 +108,7 @@ def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
     require_y(y)
     require_resolved(s, "s-out-of-domain", "s", ctx.bits + _GUARD)
     with ctx.prec(_GUARD):
-        ym = as_real(y)
-        L = mp.log(ym)
+        ym, L = y_and_log(y)
         val = _row_factory(L, *coefficients(ym, L), n, imag=True)(as_real(s), 0, 1)
     with ctx.prec():
         return mpc(+val.real, +val.imag)
@@ -123,7 +117,7 @@ def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
 def integrand_original(s, n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     """exp(-s^2/(2 log y)) (1 + sqrt(y) e^{is})^n, the integrand that
     integrate_original sums, at a finite real s."""
-    return _point(s, n, y, ctx, _original)
+    return _point(s, n, y, ctx, _shifted(mpf(0)))
 
 
 def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -317,7 +311,10 @@ def _trapezoid(
     row: Callable[..., mpf], S: mpf, panels: int, rel_tol: mpf
 ) -> Tuple[mpf, mpf, int, mpf]:
     """Composite trapezoid over [-S, S] under step halving, at the active
-    precision; each halving round is priced (_price) before its row.
+    precision, until two rounds agree to rel_tol or the price (_price) of a
+    round's row refuses it: at least 8 panels at 53 + _GUARD + 8 = 93 bits
+    or more (_plan) price halving k = 0, 1, ... at 8 2^k 93 bit-points or
+    more, above QUAD_WORK_CAP = 10^7 from k = 14 on: at most 14 halvings run.
 
     The integrand is Hermitian, f(-s) = conj f(s) (real log A, beta and c),
     and every grid is symmetric about 0, so each row sums only the nodes
@@ -332,24 +329,13 @@ def _trapezoid(
     h = 2 * S / panels
     odd, half = panels % 2, panels // 2
     T = 2 * h * row(h / 2 if odd else mpf(0), h, half + 1, not odd, True)
-    last_diff = mpf("inf")
-    for _ in range(MAX_HALVINGS):
+    while True:
         _price(panels, mp.prec)
         mid = row(mpf(0) if odd else h / 2, h, half + odd, bool(odd))
-        Tn = T / 2 + h * mid
-        h /= 2
-        panels *= 2
-        odd, half = 0, panels // 2
-        last_diff = abs(Tn - T)
-        T = Tn
-        if last_diff <= rel_tol * abs(T):
-            return T, h, panels, last_diff
-    raise ComputationError(
-        "quadrature-stalled",
-        f"step halving did not converge in {MAX_HALVINGS} rounds "
-        f"(panels={panels}, last diff {mp.nstr(last_diff, 6)}, "
-        f"target {mp.nstr(rel_tol * abs(T), 6)})",
-    )
+        T, T_prev = T / 2 + h * mid, T
+        h, panels, odd, half = h / 2, 2 * panels, 0, panels
+        if (diff := abs(T - T_prev)) <= rel_tol * abs(T):
+            return T, h, panels, diff
 
 
 def _integrate(
@@ -372,19 +358,17 @@ def _integrate(
     _, _, exp, bc = eps._mpf_  # 2^(exp+bc-1) <= eps < 2^(exp+bc)
     bits = max(ctx.bits, 1 - exp - bc)  # ceil(-log2 eps): the sum can meet the target
     with ctx.prec(_GUARD):
-        ym = as_real(y)
-        L = mp.log(ym)
+        ym, L = y_and_log(y)
         mass_log, result_log, coefficients = setup(ym, L)
     S, panels, extra_bits, trunc_log = _plan(
         float(L), float(n), mass_log, result_log, log_eps, bits
     )
     with mp.workprec(bits + _GUARD + extra_bits):
-        ym_hi = as_real(y)
-        L_hi = mp.log(ym_hi)
+        ym_hi, L_hi = y_and_log(y)
         row = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n)
         T, h, panels, diff = _trapezoid(row, mpf(S), panels, eps)
     with mp.workprec(bits + _GUARD):
-        norm = mp.sqrt(2 * mp.pi * mp.log(as_real(y)))
+        norm = mp.sqrt(2 * mp.pi * y_and_log(y)[1])
         value, diff = T / norm, diff / norm
         bound = mp.exp(mpf(trunc_log))
     with ctx.prec():
@@ -397,7 +381,7 @@ def integrate_original(
     """Quadrature of the real-axis representation; value approximates f_n(1/y)."""
 
     def setup(ym, L):
-        return n * float(mp.log1p(mp.sqrt(ym))), 0.0, _original
+        return n * float(mp.log1p(mp.sqrt(ym))), 0.0, _shifted(mpf(0))
 
     return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
 

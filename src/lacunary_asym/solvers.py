@@ -41,6 +41,7 @@ from .numerics import (
     as_real,
     require_real,
     require_y,
+    y_and_log,
 )
 
 RESID_TOL_FACTOR = 4
@@ -183,8 +184,8 @@ def _rhs(n, y, ctx: PrecisionContext):
     require_real(n, "n-out-of-domain", "n")
     require_y(y)
     with ctx.prec(_SOLVER_GUARD):
-        ym = as_real(y)
-        sqrt_y, log_y = mp.sqrt(ym), mp.log(ym)
+        ym, log_y = y_and_log(y)
+        sqrt_y = mp.sqrt(ym)
         return sqrt_y, log_y, as_real(n) * sqrt_y * log_y
 
 
@@ -216,8 +217,9 @@ def _r_seed(w: mpf, log_y: mpf, rhs: mpf) -> mpf:
 def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:
     """Both roots (w, r) from one right side and one Lambert solve.
 
-    Dropping the sqrt(y) term raises the root, so w bounds r from above:
-    [0, w] brackets r, and w starts r's float seed.
+    Dropping the sqrt(y) term raises the root, so w bounds r from above,
+    and w starts r's float seed.  w is rounded to ctx.bits, and for large w
+    half its ulp can exceed w - r: [0, w (1 + 2^(1 - bits))] brackets r.
     """
     sqrt_y, log_y, rhs = _rhs(n, y, ctx)
     w = lambert_w(rhs, ctx)
@@ -228,7 +230,8 @@ def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:
             te = t * e
             return t * (e + sqrt_y) - rhs, te + e + sqrt_y, te + 2 * e
 
-        result = _halley_bracketed(g, mpf(0), w.t, _r_seed(w.t, log_y, rhs), rhs, ctx)
+        hi = w.t * (1 + mp.ldexp(1, 1 - ctx.bits))
+        result = _halley_bracketed(g, mpf(0), hi, _r_seed(w.t, log_y, rhs), rhs, ctx)
     with ctx.prec():
         return w, RootResult(+result.t, +result.residual, result.iterations)
 

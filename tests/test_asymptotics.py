@@ -33,7 +33,7 @@ from lacunary_asym import (
     solve_w,
     theta3,
 )
-from lacunary_asym import asymptotics
+from lacunary_asym import solvers
 
 # 400-bit reference digits, frozen.
 R_2_2 = "0.604312801713753697777079000676161532165267546"
@@ -222,6 +222,21 @@ class TestSaddleData:
             ref = -10 * (-x + 4 * x**2 - x**3) / (24 * (1 + x) ** 4)
             assert abs(got - ref) <= ctx.eps * abs(ref)
 
+    def test_b_closed_form_matches_the_polylog(self, ctx):
+        # the sign of x was dropped, so P_{nu-1}(x) was summed for P_{nu-1}(-x):
+        # b_3 at x = -0.5 read -3.333i for 10i; and b_1 summed from k = 0.
+        # Reference: b_nu = (-n i^nu / nu!) Li_{1-nu}(-x).  |x| of 1e-60 and
+        # 1e60 take the one-term branch at low nu, the others the exact sum
+        xs = ("1e60", "3e45", "1e20", "2", "0.5", "1e-3", "1e-60")
+        for x in xs + tuple("-" + x for x in xs):
+            with ctx.prec():
+                xm = mpf(x)
+            for nu in (1, 2, 3, 4, 7, 16):
+                got = b_closed_form(10, xm, nu, ctx)
+                with mp.workprec(800):
+                    ref = -10 * mp.j**nu / mp.factorial(nu) * mp.polylog(1 - nu, -xm)
+                    assert abs(got - ref) <= ctx.eps * abs(ref), (x, nu)
+
     def test_prefactor_identity(self, ctx):
         # 2 a log y = 1 + r/(1+x) exactly, from the saddle equation
         for n in (2, 5, 10, 10**3, 10**6):
@@ -366,12 +381,12 @@ class TestApproximationSummary:
 
     def test_theta_priced_before_the_roots(self, monkeypatch):
         # theta_3 takes a bounded number of terms at any y, so no theta order
-        # is priced any more; invalid n and y still get their own codes
-        # before the roots are solved
+        # is priced any more; invalid n and y still get their own codes, from
+        # the solvers' checks, before any root is solved
         def no_roots(*args):
-            raise AssertionError("the roots were solved")
+            raise AssertionError("a root was solved")
 
-        monkeypatch.setattr(asymptotics, "_saddle_roots", no_roots)
+        monkeypatch.setattr(solvers, "lambert_w", no_roots)
         ctx = PrecisionContext(bits=1024)
         for n, y, code in (
             (0, "1e2999999", "n-out-of-domain"),

@@ -33,6 +33,7 @@ from lacunary_asym import (
     integrate_original,
     integrate_shifted,
     lambert_w,
+    proof_residuals,
     psi_exp,
     residual_relations,
     rho,
@@ -46,6 +47,11 @@ from lacunary_asym.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE
 from lacunary_asym.numerics import as_real, require_eps, require_n, require_y
 
 INF = math.inf
+
+# y = 1 + 1e-43 rounds to 1 at 53 + 32 bits, where quadrature takes log y,
+# and at 53 + 24, where the solvers do; not at 128 + 24
+NEAR_ONE = "1." + "0" * 42 + "1"
+CTX_53 = PrecisionContext(bits=53)
 
 
 def grid(*extra):
@@ -312,6 +318,58 @@ CASES = [
         "order-cap-exceeded",
         id="b_closed_form(10, 0.5, 2000)",
     ),
+    # a y that rounds to 1 at the working precision: log y = 0 divided (a raw
+    # ZeroDivisionError), or the solvers refused it as x-out-of-domain
+    pytest.param(
+        lambda: integrate_original(1, NEAR_ONE, CTX_53),
+        "y-out-of-domain",
+        id="integrate_original(1, 1+1e-43, 53 bits)",
+    ),
+    pytest.param(
+        lambda: gaussian_fourier(1, NEAR_ONE, CTX_53),
+        "y-out-of-domain",
+        id="gaussian_fourier(1, 1+1e-43, 53 bits)",
+    ),
+    pytest.param(
+        lambda: integrand_original(0, 1, NEAR_ONE, CTX_53),
+        "y-out-of-domain",
+        id="integrand_original(0, 1, 1+1e-43, 53 bits)",
+    ),
+    pytest.param(
+        lambda: psi_exp(0, 2, NEAR_ONE, 1, CTX_53),
+        "y-out-of-domain",
+        id="psi_exp(0, 2, 1+1e-43, 1, 53 bits)",
+    ),
+    pytest.param(
+        lambda: solve_r(2, NEAR_ONE, CTX_53), "y-out-of-domain", id="solve_r(2, 1+1e-43, 53 bits)"
+    ),
+    pytest.param(
+        lambda: approximation_summary(2, NEAR_ONE, CTX_53),
+        "y-out-of-domain",
+        id="approximation_summary(2, 1+1e-43, 53 bits)",
+    ),
+    pytest.param(
+        lambda: saddle_data(2, NEAR_ONE, ctx=CTX_53),
+        "y-out-of-domain",
+        id="saddle_data(2, 1+1e-43, 53 bits)",
+    ),
+    pytest.param(
+        ["quadcheck", "--y", NEAR_ONE, "--n", "1", "--bits", "53"],
+        EXIT_DOMAIN,
+        id="cli quadcheck --y 1+1e-43 --bits 53",
+    ),
+    # a real n below 2, which solve_r takes: a raw TypeError from n < 2
+    pytest.param(
+        lambda: saddle_data("3/2", 2), "saddle-hypothesis-violated", id="saddle_data('3/2', 2)"
+    ),
+    pytest.param(
+        lambda: proof_residuals("3/2", 2),
+        "saddle-hypothesis-violated",
+        id="proof_residuals('3/2', 2)",
+    ),
+    # an --n list of no values, and a y that is not a number
+    pytest.param(["eval", "--y", "2", "--n", ","], EXIT_USAGE, id="cli --n ,"),
+    pytest.param(["eval", "--y", "nan", "--n", "3"], EXIT_USAGE, id="cli --y nan"),
     # CLI grids: raw ValueError / OverflowError tracebacks, or endless loops
     pytest.param(grid("--n-factor", "nan"), EXIT_USAGE, id="cli --n-factor nan"),
     pytest.param(grid("--n-factor", "inf"), EXIT_USAGE, id="cli --n-factor inf"),
@@ -485,6 +543,31 @@ def test_factor_beyond_the_grid_gives_one_point(capsys):
     assert cli.main(grid("--n-factor", "1e308", "--format", "csv")) == EXIT_OK
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["10"]
+
+
+@pytest.mark.parametrize(
+    "n_from, n_to",
+    [
+        # printed n = 100000000000000000000, below the range
+        ("100000000000000000001", "100000000000000000009"),
+        # float(n_from) rounds to 9007199254740996: "empty n range"
+        ("9007199254740995", "9007199254740995"),
+    ],
+)
+def test_grid_beyond_2_53_starts_at_n_from(n_from, n_to, capsys):
+    argv = ["solve", "--y", "2", "--n-from", n_from, "--n-to", n_to, "--format", "csv"]
+    assert cli.main(argv) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [n_from]
+
+
+def test_proof_residuals_take_log_y_from_y():
+    # at 128 bits data.y, y = 1 + 1e-43 rounded to 128 bits, is 1: its log
+    # divided (a raw ZeroDivisionError); the identity holds at rounding level
+    ctx = PrecisionContext(bits=128)
+    res = proof_residuals(2, NEAR_ONE, ctx)
+    assert res.prefactor_identity_err <= 16 * ctx.eps
+    assert mp.isfinite(res.psi0_residual) and mp.isfinite(res.s_form_log)
 
 
 @pytest.mark.usefixtures("time_limit")

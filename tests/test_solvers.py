@@ -344,6 +344,29 @@ class TestDivergenceGuard:
         assert exc.value.code == "solver-diverged"
 
 
+class TestBracketSafeguard:
+    def test_leaving_the_bracket_lands_then_bisects(self, ctx):
+        # g is piecewise linear, slope 1 on [-1, 1] and 1/16 outside, so
+        # Halley is Newton and overshoots from the flat parts: from the seed
+        # 4 the candidate -15 leaves [-8, 4] below the open end -8 and lands
+        # on it; from -8 the candidate 15 leaves it above the end 4, already
+        # an iterate, so the next point is the midpoint -2, and from -2 the
+        # midpoint 1; from 1 one exact step reaches the root 0
+        points = []
+
+        def g(t):
+            points.append(t)
+            if abs(t) <= 1:
+                return t, mpf(1), mpf(0)
+            return mp.sign(t) * (1 + (abs(t) - 1) / 16), mpf(1) / 16, mpf(0)
+
+        with ctx.prec(sv._SOLVER_GUARD):
+            res = sv._halley_bracketed(g, mpf(-8), mpf(4), mpf(4), mpf(1), ctx)
+        assert points[:5] == [4, -8, -2, 1, 0]
+        assert res.t == 0 and res.iterations == 4
+        assert abs(res.residual) <= sv.RESID_TOL_FACTOR * ctx.eps
+
+
 class TestPinnedRoots:
     """The roots themselves, bit for bit, across precisions and extreme y."""
 
