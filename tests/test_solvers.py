@@ -58,7 +58,7 @@ PINNED_SADDLE = {
     (53, "100"): "c618bae4c96edb6f",
     (53, "1e10"): "915ba751aba9fa0a",
     (53, "1e280"): "d142c642e799bc49",
-    (53, "1e2999999"): "e7cceabab7b716bf",
+    (53, "1e2999999"): "be89e039c1449474",
     (128, "1.0000000001"): "7d9349a75ba0a9ca",
     (128, "1.000001"): "f2598d2110d5631c",
     (128, "1.0001"): "aa925339f7c182f8",
