@@ -511,3 +511,54 @@ class TestNearOneEvalRows:
         status, out = render(["eval", "--y", y, "--n", n, "--format", "csv"])
         assert status == EXIT_OK
         assert out == "n,y,log_f,terms_used,omitted_tail_bound\n" + row + "\n"
+
+
+# Default-precision eval and compare output near y = 1, where the walk sums
+# hundreds to tens of thousands of terms (41,805 at n = 1e5, y = 1.00001):
+# a change in where the walk starts, in its rounding or in its stopping test
+# that reached a printed digit, terms_used or omitted_tail_bound shows here.
+NEAR_ONE_YS = ["1.01", "1.001", "1.0001", "1.00001"]
+NEAR_ONE_NS = "1000,10000,100000"
+NEAR_ONE_DIGESTS = {
+    "eval-1.01-table": "5c99511174c48b3947e005e65d71f53d9f791cbad028f6a1c712a704c889555f",
+    "eval-1.01-csv": "35310a3acd2b4b442e6ce4d5093e6247d4e0fe95d1b985922a07e25f335a73b6",
+    "eval-1.01-json": "1d0ba3b7e333d673c20355873211d99fa5d4e42e761a2d2d0b0fb26792109b17",
+    "eval-1.001-table": "09e8b24f2959917b0be3fc3f12146f107b22867cf27488e3d036e9446874cf0b",
+    "eval-1.001-csv": "7ca75fed7ef8c54f44e17b6543a86d94aca71c79362bc3a7d373d9a5746f8177",
+    "eval-1.001-json": "834928273839c603f0f9b06900f223722ff20146d7063f7190aa8a5c12407f2a",
+    "eval-1.0001-table": "e4c31dda67e20c31e9525c78ee7461bdf71037f18d2966f7d68fec22d9582f90",
+    "eval-1.0001-csv": "9188f4409cc563c7bc31359cb70d3a2630c89175c089476dcf7be7b499ab36e6",
+    "eval-1.0001-json": "079d3e0d55226d3517e941c8911a4de7762dd73c4207a056bf17dc384082aa8b",
+    "eval-1.00001-table": "eaa482028e1e838dad41418580886325c4b6b842a37e1e461f867d12aa421613",
+    "eval-1.00001-csv": "6c3cdf147b11e00d44ab8cc693ef1efcaccd8c0c2ca2e2fbb5db95b5f531a014",
+    "eval-1.00001-json": "a508ab7fa61f3ec861898ff2416bfdbfc2831b362830e5bb27a05202f80b0216",
+    "compare-1.01-table": "dc2ba7590741722e13430c097360187930bad205c437cb5fcd99111bca22299f",
+    "compare-1.01-csv": "f4ee7be2135d39ab571601e748951b322e7d04b9d438cab06c12a6d9f00bd57f",
+    "compare-1.01-json": "02c5a27d11481d82619be683f0ed75c39c24dccefed9588814af4fd149530546",
+    "compare-1.001-table": "bc3f933ea02d2a9013fb74afa713fc6c7e39eedafeff303c85cb811b121a1775",
+    "compare-1.001-csv": "08bc257fbde1a63ae77648bc9eec244ca4a17ce8c1610e664f2e64d8135c2cb4",
+    "compare-1.001-json": "c67bc5cc8bdc06f096b36b35fafc1bb07fe508eaa7aaddcdde8c1e37dbb02fd8",
+    "compare-1.0001-table": "1ae04cafbd91f1281c24ce46c6e081484b92a21412e4ce8f025829822604ce7a",
+    "compare-1.0001-csv": "0421d6d6d14c75ef0155a4a9f6c57e3de8d17be609ac7968771a9952b7b677c7",
+    "compare-1.0001-json": "f974c60379be5dfcd61adcc001b859736f614e779eab523e48cc58ee0e6074f2",
+    "compare-1.00001-table": "0df5bf462b0561b66bf943318f7ce3b15dadeebe8df5eb52999bb84bf1dce36c",
+    "compare-1.00001-csv": "66b8c4e9e36c26b15643055ea91db08d58efa9065f0fd33536ea94a882143a46",
+    "compare-1.00001-json": "5c0772574afe5c7e229910c8cb221dbd70f520c558a0f40b0ee680570d327405",
+}
+
+
+class TestNearOneGoldenBytes:
+    @pytest.mark.parametrize(
+        "command, y, fmt",
+        [
+            pytest.param(c, y, f, id=f"{c}-{y}-{f}")
+            for c in ("eval", "compare")
+            for y in NEAR_ONE_YS
+            for f in ("table", "csv", "json")
+        ],
+    )
+    def test_output_digest(self, command, y, fmt, request):
+        status, out = render([command, "--y", y, "--n", NEAR_ONE_NS, "--format", fmt])
+        assert status == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == NEAR_ONE_DIGESTS[request.node.callspec.id]
