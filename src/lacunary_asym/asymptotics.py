@@ -111,8 +111,9 @@ def _require_order(order, name: str, lo: int) -> int:
 
 
 def _euler_frobenius_rows(top: int) -> List[List[int]]:
-    """P_0 ... P_top, where sum_{l>=1} l^nu z^l = P_nu(z)/(1-z)^{nu+1}: exact
-    ints, in one pass of P_{m+1} = z(1-z) P_m' + (m+1) z P_m (z d/dz of it)."""
+    """P_0 ... P_top, where sum_{l>=0} l^nu z^l = P_nu(z)/(1-z)^{nu+1}, 0^0 = 1:
+    exact ints, in one pass of P_{m+1} = z(1-z) P_m' + (m+1) z P_m (z d/dz of
+    it)."""
     rows = [[1]]
     for m in range(top):
         nxt = [0] * (m + 2)
@@ -124,7 +125,10 @@ def _euler_frobenius_rows(top: int) -> List[List[int]]:
 
 
 def euler_frobenius(nu: int) -> List[int]:
-    """Coefficients of P_nu, where sum_{l>=1} l^nu z^l = P_nu(z)/(1-z)^{nu+1}."""
+    """Coefficients of P_nu, where sum_{l>=0} l^nu z^l = P_nu(z)/(1-z)^{nu+1},
+    taking 0^0 = 1.  For nu >= 1 the l = 0 term is 0, so this is also the
+    l >= 1 sum; for nu = 0 it gives P_0 = 1, where the l >= 1 sum would give
+    z."""
     _require_order(nu, "nu", lo=0)
     return _euler_frobenius_rows(nu)[-1]
 

@@ -4,10 +4,14 @@
 
 at z = 1/y: exactly over the rationals, and in high-precision floating
 point by one linear term walk with adaptive truncation of the k-sum, whose
-log gives log f_n (mpf exponents are unbounded).  The walk runs in
-fixed-point Python integers, 0.8-1.6 us per term on a 2-vCPU x86-64 box
-(CPython 3.11, pure-Python mpmath), and reports a rigorous bound on its
-own rounding error.  Also computes the iterated forward differences in n,
+log gives log f_n (mpf exponents are unbounded).  Where the terms climb
+long to their peak k* ~ log n / log y (y near 1), the walk starts at k*
+and walks out both ways, over the Gaussian window of width ~sqrt(1/log y)
+that holds the sum (de Bruijn, Asymptotic Methods in Analysis, Ch. 5).
+It runs in fixed-point Python integers, 0.8-1.6 us per term on a 2-vCPU
+x86-64 box (CPython 3.11, pure-Python mpmath), and reports a rigorous
+bound on its own rounding error.  Also computes the iterated forward
+differences in n,
 
     D^r f_n(1/y) = sum_{k=0}^{n} C(n,k) * y^{-C(k+r,2)},
 
@@ -52,11 +56,30 @@ from .numerics import (
 EXACT_MODE_CAP = 3000
 
 # Extra bits for the fixed-point term walk behind both the float and the log
-# path, so the drift of y^-k (at most 4 C(k,2) 2^-P on term k, P = bits + 32)
-# stays below the context tolerance even when the truncated sum runs long (y
-# barely above 1): 2^-127 at bits = 128 after the 50,684 terms of n = 1e5,
-# y = 1 + 1e-6.  A term costs 0.8-1.6 us at bits = 128 on a 2-vCPU x86-64 box.
+# path, so the drift of the y powers (about 2 m^2 2^-P on a term m steps from
+# the start, P = bits + 32) stays below the context tolerance even when the
+# truncated sum runs long (y barely above 1).  From the peak of n = 1e5,
+# y = 1 + 1e-6 the walk evaluates 4,420 terms and bounds its rounding by
+# 2^-138.1 at bits = 128; from k = 0 it took 50,684 terms and 2^-127.7.  A
+# term costs 0.8-1.6 us at bits = 128 on a 2-vCPU x86-64 box.
 _LOOP_GUARD = 32
+
+# The walk left of a peak start stops once its geometric tail bound is within
+# 2^-(P + _LEFT_CUT) of the running sum; the terms it drops go into the
+# rounding bound, far below the context tolerance, so the reported tail keeps
+# its meaning.
+_LEFT_CUT = 32
+
+# Terms a peak start must save, against a walk from k = 0, to pay for its
+# start term: its three mp.loggamma and three mp.exp take 0.18-0.24 ms at
+# bits = 53 and 128, the time of ~170 terms, and 0.25-0.8 ms at 400 and
+# 1024 bits, where a term costs 2.5-10 us (_start_term).
+_START_TERMS = 200
+
+# A term below 2^-_HEAVY_BITS of the running sum is light: its drift is
+# weighed into the rounding bound by 2^-_HEAVY_BITS, so the bound grows with
+# the distance of the heavy terms from the start, not with the last index.
+_HEAVY_BITS = 64
 
 # Most terms the linear walk may be predicted to take at the default 128 bits:
 # its work budget, about 1 s at the ~1 us per term of the fixed-point walk on
@@ -71,11 +94,16 @@ WALK_TERMS_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """How much of the k-sum was evaluated, a bound on what was dropped,
-    absolute and relative to the sum (both 0 when nothing was dropped), and
-    a bound on the walk's own rounding error relative to the sum."""
+    """How much of the k-sum was evaluated, a bound on what was dropped past
+    the last kept index, absolute and relative to the sum (both 0 when
+    nothing was dropped), and a bound on the walk's own rounding error
+    relative to the sum.  terms_used is one past the last kept index; the
+    walk evaluates the indices first_kept_index .. terms_used - 1, and the
+    terms below first_kept_index (0 for a walk from k = 0) are within the
+    rounding bound."""
 
     terms_used: int
+    first_kept_index: int
     first_omitted_index: Optional[int]
     omitted_tail_bound: mpf
     relative_tail_bound: mpf
@@ -163,17 +191,10 @@ def eval_exact(n: int, y) -> ExactRational:
     return _exact_sum(n, 0, y)
 
 
-def _walk_terms(n: int, L: float, tol_bits: int) -> int:
-    """Terms a truncated walk over t_k = C(n,k) e^{-L C(k,2)} is predicted to
-    take, in float arithmetic: up to the peak k*, the first k >= 1 with
-    log(n-k) - log(k+1) <= L k (the term ratio no longer above 1, so k* <=
-    log(n+1)/L), then sqrt(2 tol_bits ln 2 / L) more, the distance past the
-    peak over which e^{-L j^2/2} falls to 2^-tol_bits.  At most n + 1, and n + 1
-    when L is 0 (y rounded to 1).  On y in {1+1e-2 .. 1+1e-6, 3/2, 2, 100},
-    n in {10 .. 1e5} it is at least terms_used and at most 1.8 times it.
-    """
-    if not L > 0:
-        return n + 1
+def _peak_index(n: int, L: float) -> int:
+    """The peak k* of t_k = C(n,k) e^{-L C(k,2)}, L > 0, by bisection in
+    float arithmetic: the first k >= 1 with log(n-k) - log(k+1) <= L k, where
+    the term ratio is no longer above 1, so k* <= log(n+1)/L."""
     lo, hi = 1, min(n, int(log(n + 1) / L) + 1)
     while lo < hi:
         k = (lo + hi) // 2
@@ -181,41 +202,111 @@ def _walk_terms(n: int, L: float, tol_bits: int) -> int:
             lo = k + 1
         else:
             hi = k
-    return min(n + 1, lo + 1 + ceil(sqrt(2 * tol_bits * log(2) / L)))
+    return lo
+
+
+def _walk_terms(n: int, L: float, tol_bits: int, peak: Optional[int] = None) -> int:
+    """Terms a truncated walk from k = 0 over t_k = C(n,k) e^{-L C(k,2)} is
+    predicted to take, in float arithmetic: up to the peak k* (``peak``, or
+    _peak_index), then sqrt(2 tol_bits ln 2 / L) more, the distance past the
+    peak over which e^{-L j^2/2} falls to 2^-tol_bits.  At most n + 1, and
+    n + 1 when L is 0 (y rounded to 1).  On y in {1+1e-2 .. 1+1e-6, 3/2, 2,
+    100}, n in {10 .. 1e5} it is at least terms_used and at most 1.8 times it.
+    A walk from the peak evaluates fewer terms than this, so the budget prices
+    it high.
+    """
+    if not L > 0:
+        return n + 1
+    if peak is None:
+        peak = _peak_index(n, L)
+    return min(n + 1, peak + 1 + ceil(sqrt(2 * tol_bits * log(2) / L)))
+
+
+def _mantissa(x: mpf, bits: int) -> Tuple[int, int]:
+    """x > 0 rounded to nearest as m 2^-s, m an int of exactly ``bits`` bits."""
+    with mp.workprec(bits):
+        _, man, exp, bc = (+x)._mpf_
+    return man << (bits - bc), bits - bc - exp
+
+
+def _start_term(n: int, ks: int, y, P: int) -> Tuple[int, int, int, int, int, int]:
+    """t_ks = C(n,ks) y^-C(ks,2) as a (2P+1)-bit int times 2^-s, and y^-ks
+    and y^(ks-1) as P-bit mantissas with their shifts, each rounded to
+    nearest from a value computed at w = P + 64 + M bits, 2^M above the
+    magnitude of log n!, n ln n < (n+1) bits(n+1), and of C(ks,2) log y <
+    ks P, which the caller's (ks-1) log y < P ln 2 allows.
+
+    log t_ks = log n! - log ks! - log (n-ks)! - C(ks,2) log y from
+    mp.loggamma: each part and each rounding of the sum is within a few
+    units of 2^(M-w), so the sum is within 2^-(P+60) and t_ks within
+    2^-(P+59), before the rounding to 2P+1 bits; the walk's bound allows
+    2^-(P+48).  About 0.15-0.25 ms at bits = 128 on a 2-vCPU x86-64 box.
+    """
+    M = ((n + 1) * (n + 1).bit_length() + ks * P).bit_length()
+    with mp.workprec(P + 64 + M):
+        L = mp.log(as_real(y))
+        lt = mp.loggamma(n + 1) - mp.loggamma(ks + 1) - mp.loggamma(n - ks + 1)
+        lt -= ks * (ks - 1) // 2 * L
+        term, s = _mantissa(mp.exp(lt), 2 * P + 1)
+        return (term, s, *_mantissa(mp.exp(-ks * L), P), *_mantissa(mp.exp((ks - 1) * L), P))
 
 
 def _term_walk(
     n: int, y, ctx: PrecisionContext, truncate: bool, n_min: int = 0
 ) -> Tuple[mpf, TruncationReport]:
-    """Linear sum of t_k = C(n,k) y^{-C(k,2)} from k = 0, in P-bit fixed
-    point, P = ctx.bits + _LOOP_GUARD.
+    """Sum of t_k = C(n,k) y^{-C(k,2)} in P-bit fixed point, P = ctx.bits +
+    _LOOP_GUARD, walked from a start index ks: first left to smaller k, then
+    right from ks.
 
     Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
     decreases strictly in k.  Once it drops below 1 the tail is
     geometrically dominated by t_k * rho/(1 - rho); with ``truncate`` the
-    walk stops at the first k where that bound is within eps = 2^-tol of
-    the running total.  The sum comes back as a P-bit mpf, the report
-    rounded.  Walks predicted (_walk_terms; n + 1 untruncated) to take more
-    than WALK_TERMS_CAP terms, times 160/(bits + _LOOP_GUARD) above 128
-    bits, are refused before the first.
+    right walk stops at the first k where that bound is within eps = 2^-tol
+    of the running total.  The sum comes back as a P-bit mpf, the report
+    rounded.  Walks predicted (_walk_terms from k = 0; n + 1 untruncated) to
+    take more than WALK_TERMS_CAP terms, times 160/(bits + _LOOP_GUARD) above
+    128 bits, are refused before the first.
+
+    The start: ks is the peak k* (_peak_index, the bisection the budget also
+    reads) when the walk is truncated, the peak saves _START_TERMS terms more
+    than the left walk is predicted to take (sqrt(2 (P + _LEFT_CUT) ln 2 /
+    log y)) and y^(k*-1) < 2^(P-8), so that its shift stays positive; else 0.
+    t_ks, y^-ks and y^(ks-1) come from _start_term (for ks = 0 they are 1,
+    exactly).  The left walk takes t_{k-1}/t_k = k y^(k-1) / (n-k+1), below 1
+    left of the peak and falling, and stops at the first k where t_k rho/(1 -
+    rho) is within 2^-(P + _LEFT_CUT) of the running total; k is then
+    first_kept_index.  The right walk starts at ks on a total that holds the
+    left sum, with the stop test above, so terms_used, first_omitted_index
+    and omitted_tail_bound keep their meaning.
 
     term and total are Python ints times one shared 2^scale; total stays
-    at least 2^(2P) (once it passes 2^(3P), both shift right until it has
-    2P + 1 bits), so the last kept term still has about bits + 80 bits.
-    y^-k = ypm 2^-sh, each step multiplying the P-bit mantissa ypm by that
-    of the P-bit mpf 1/y and rounding to nearest.  The ratio is rho =
-    num / ((k+1) 2^sh), num = (n-k) ypm; rho < 1 and the stop test are
-    exact integer comparisons that only shift right by sh, which grows
-    like k log2 y.
+    at least 2^(2P) (t_ks has 2P + 1 bits; once total passes 2^(3P), both
+    shift right until it has 2P + 1 bits), so the last kept term still has
+    about bits + 80 bits.  A y power is a P-bit mantissa times 2^-sh, each
+    step multiplying it by that of the P-bit mpf 1/y and rounding to nearest.
+    Right, the ratio is rho = num / ((k+1) 2^sh), num = (n-k) y^-k 2^sh; left,
+    rho = num / ((n-k+1) 2^sh), num = k y^(k-1) 2^sh.  rho < 1 and the stop
+    tests are exact integer comparisons that only shift right by sh.
 
-    The rounding bound, relative to the sum of the kept terms: y^-j drifts
-    by at most 4 j 2^-P (1/y is at most three roundings off, each step one
-    more), so t_k by 4 C(k,2) 2^-P; the final mpf rounds once more, 2^-P.
-    Each floor of a term or a shift loses under one unit, at most 2^-2P of
-    the total.  Up to the peak such a unit is at most (k+1) 2^-2P of the
-    term; past it the ratios are below 1, so it reaches each later term as
-    under one unit.  That sums to 2^-2P ((K+2)^2/2 + shifts (K+2)) for K
-    the last index kept.  Second-order terms stay under the 2^-16 slack.
+    The rounding bound, relative to the sum of the kept terms.  A y power m
+    steps from the start drifts by at most (4m + e) 2^-P (1/y is at most
+    three roundings off, each step one more; e = 1 for a rounded y^-ks or
+    y^(ks-1), 0 for ks = 0), so a term m steps out by W(m) 2^-P, W(m) =
+    2m(m-1) + e m.  A term at least 2^-_HEAVY_BITS of the running total is
+    heavy; away from the start the terms fall and the total grows (from
+    k = 0 they rise first, but then each is at least 1/(k+1) of the total),
+    so on each side the heavy terms come first, and every term at least
+    2^-_HEAVY_BITS of the sum is heavy.  The heavy terms weigh at most
+    W(m_h) 2^-P, m_h the farthest distance from ks at which a term was heavy
+    or the first light one, the light ones at most N W(m_end)
+    2^-(P + _HEAVY_BITS), N the terms evaluated, m_end the farthest
+    distance.  The final mpf rounds once more, 2^-P.  A peak start adds its
+    start term, within 2^-(P+48), and the dropped left terms, within
+    2^-(P + _LEFT_CUT).  Each floor of a term or a shift loses under one
+    unit, at most 2^-2P of the total; while the terms rise such a unit is at
+    most N 2^-2P of the term, and where they fall it reaches each later term
+    as under one unit.  That sums to 2^-2P ((N+1)^2/2 + shifts (N+1)).
+    Second-order terms stay under the 2^-16 slack.
     """
     require_n(n, lo=n_min)
     require_y(y)
@@ -224,7 +315,13 @@ def _term_walk(
     with ctx.prec(_LOOP_GUARD):
         ym = as_real(y)
         L = mp.log(ym)
-        terms = _walk_terms(n, float(L), tol) if truncate else n + 1
+        Lf, ks, terms = float(L), 0, n + 1
+        if truncate and Lf > 0:
+            peak = _peak_index(n, Lf)
+            terms = _walk_terms(n, Lf, tol, peak)
+            left = ceil(sqrt(2 * (P + _LEFT_CUT) * log(2) / Lf)) + 1
+            if peak - left > _START_TERMS and (peak - 1) * Lf < (P - 8) * log(2):
+                ks = peak
         work_bits = max(ctx.bits, DEFAULT_CTX.bits) + _LOOP_GUARD
         if terms * work_bits > WALK_TERMS_CAP * (DEFAULT_CTX.bits + _LOOP_GUARD):
             raise DomainError(
@@ -232,17 +329,48 @@ def _term_walk(
                 f"n={brief(n)} at log y = {mp.nstr(L, 6)} needs ~{brief(terms)} terms "
                 f"at {ctx.bits} bits, above the cap {WALK_TERMS_CAP} at {DEFAULT_CTX.bits}",
             )
-        _, yman, yexp, ybc = (1 / ym)._mpf_
-    yinv, e0 = yman << (P - ybc), yexp - (P - ybc)  # 1/y = yinv 2^e0
-    ypm, sh = 1 << (P - 1), P - 1  # y^-k = ypm 2^-sh
-    term, total, scale, shifts = 1 << (2 * P), 0, -2 * P, 0  # value = int 2^scale
+        yinv, ys = _mantissa(1 / ym, P)  # 1/y = yinv 2^-ys
+    if ks:
+        start, s, ypm, sh, ypl, shl = _start_term(n, ks, y, P)
+    else:  # t_0 = y^0 = 1
+        start, s, ypm, sh = 1 << (2 * P), 2 * P, 1 << (P - 1), P - 1
+    scale, shifts = -s, 0  # value = int 2^scale
+    term = total = start  # the left walk's total holds t_ks until it ends
+    first = 0
+    light_l = light_r = None  # index of the first light term on each side
+    tol_left = P + _LEFT_CUT
+    for k in range(ks, 0, -1):  # empty for ks = 0
+        gap = total.bit_length() - term.bit_length()
+        if light_l is None and gap > _HEAVY_BITS:
+            light_l = k
+        num = k * ypl
+        tn = term * num
+        d = n - k + 1
+        # rho < 1, and rho < 1/2 or term below total 2^-tol_left (else the test
+        # below fails); then term rho/(1 - rho) <= total 2^-tol_left, as on the right
+        if (gap >= tol_left or num >> (shl - 1) < d) and num >> shl < d:
+            if -(-((tn << tol_left) + total * num) >> shl) <= total * d:
+                first = k
+                break
+        term = (tn >> shl) // d
+        total += term
+        prod = ypl * yinv
+        b = prod.bit_length() - P
+        ypl = ((prod >> (b - 1)) + 1) >> 1
+        shl += ys - b
+    term, total = start, total - start
     top = 1 << (3 * P)
     omitted = None
-    for k in range(n):
+    for k in range(ks, n):
         total += term
+        gap = total.bit_length() - term.bit_length()
+        if light_r is None and gap > _HEAVY_BITS:
+            light_r = k
         num = (n - k) * ypm
         tn = term * num
-        if truncate and num >> sh <= k:  # rho < 1
+        # rho < 1, and rho < 1/2 or term below total 2^-tol: where rho >= 1/2
+        # the test below needs term <= total 2^-tol
+        if truncate and (gap >= tol or num >> (sh - 1) <= k) and num >> sh <= k:
             # term rho/(1 - rho) <= total 2^-tol, i.e. (tn 2^tol + total num) 2^-sh
             # <= total (k+1), with the ceiling of the left side: no shift left by sh
             if -(-((tn << tol) + total * num) >> sh) <= total * (k + 1):
@@ -258,13 +386,21 @@ def _term_walk(
         prod = ypm * yinv
         b = prod.bit_length() - P
         ypm = ((prod >> (b - 1)) + 1) >> 1
-        sh -= e0 + b
+        sh += ys - b
     else:
         total += term  # the k = n term
     used = omitted or n + 1
-    K = used - 1
-    # twice the rounding bound in units of 2^-2P
-    units = (1 << (P + 1)) * (1 + 2 * K * (K - 1)) + (K + 2) * (K + 2 + 2 * shifts)
+    N, m_end = used - first, max(ks - first, used - 1 - ks)
+    m_h = max(
+        ks - first if light_l is None else ks - light_l,
+        used - 1 - ks if light_r is None else light_r - ks,
+    )
+    e = 1 if ks else 0
+    W_h, W_end = 2 * m_h * (m_h - 1) + e * m_h, 2 * m_end * (m_end - 1) + e * m_end
+    # twice the rounding bound in units of 2^-2P; a peak start's start term
+    # and left cut, 2^-(P+48) + 2^-(P+32), within 2^-(P+31)
+    units = (1 << (P + 1)) * (1 + W_h) + ((N * W_end << (P + 1)) >> _HEAVY_BITS) + 1
+    units += (N + 1) * (N + 1 + 2 * shifts) + (e << (P + 2 - _LEFT_CUT))
     with ctx.prec(_LOOP_GUARD):
         total_m = mpf((total, scale))
         bound = mpf(0)
@@ -273,7 +409,7 @@ def _term_walk(
             bound = mpf((term, scale)) * ratio / (1 - ratio)
     with ctx.prec():
         rounding = mpf((units * ((1 << 16) + 1), -2 * P - 17))
-        report = TruncationReport(used, omitted, +bound, bound / total_m, rounding)
+        report = TruncationReport(used, first, omitted, +bound, bound / total_m, rounding)
     return total_m, report
 
 

@@ -334,10 +334,11 @@ class TestWalkBudget:
 
 def reference_walk(n: int, y, ctx: PrecisionContext, truncate: bool):
     """The mpf term walk that the fixed-point one replaced: the same k = 0
-    start, term ratio and stopping test, every step rounded at
-    ctx.bits + _LOOP_GUARD bits.  Returns the sum, terms_used,
-    first_omitted_index and omitted_tail_bound, all unrounded."""
-    with ctx.prec(pe._LOOP_GUARD):
+    start, term ratio and stopping test, every step rounded at 2P bits,
+    P = ctx.bits + _LOOP_GUARD, so its own drift, up to 4 C(K,2) 2^-2P,
+    stays far below the fixed-point walk's rounding bound.  Returns the sum,
+    terms_used, first_omitted_index and omitted_tail_bound, all unrounded."""
+    with mp.workprec(2 * (ctx.bits + pe._LOOP_GUARD)):
         ym = as_real(y)
         eps = ctx.eps
         yinv = 1 / ym
@@ -386,6 +387,54 @@ def test_fixed_point_walk_for_huge_n(ctx):
     # the first ratios are near n = 2^2990: rescaling by P bits at a time
     # let the integers grow by thousands of bits a term (8.6 s at n = 10^600)
     check_against_reference_walk(10**900, 2, ctx, truncate=True)
+
+
+@settings(derandomize=True, max_examples=20)
+@given(
+    n=st.integers(10, 10**5),
+    u=st.integers(1, 6),
+    bits=st.sampled_from([53, 128, 400]),
+)
+@example(n=10**5, u=4, bits=128)
+@example(n=31623, u=5, bits=400)
+def test_peak_start_matches_full_walk(n, u, bits):
+    # a walk from the peak against the 2P-bit walk from k = 0; the
+    # reference's own drift, 4 C(K,2) 2^-2P, is far below the bound
+    ctx = PrecisionContext(bits=bits)
+    y = "1." + "0" * (u - 1) + "1"
+    total, rep = pe._term_walk(n, y, ctx, truncate=True)
+    ref, used, omitted, bound = reference_walk(n, y, ctx, truncate=True)
+    assert (rep.terms_used, rep.first_omitted_index) == (used, omitted)
+    if bits == 128:
+        with ctx.prec():
+            assert rep.omitted_tail_bound == +bound
+    P = bits + pe._LOOP_GUARD
+    with mp.workprec(2 * P):
+        ref_drift = mpf(2 * used * (used - 1) + 2) * mpf(2) ** (-2 * P)
+        assert abs(total - ref) / ref <= rep.rounding_bound + ref_drift
+
+
+def test_walk_starts_at_the_peak(ctx):
+    # 1e5, 1.0001: the peak is near k = 16,000 and the walk evaluates
+    # about 2,150 terms around it, where it took 17,265 from k = 0
+    _, rep = eval_float(10**5, "1.0001", ctx)
+    assert rep.terms_used == 17265
+    assert 14_000 < rep.first_kept_index
+    assert rep.terms_used - rep.first_kept_index < 3_000
+    # short climbs and untruncated walks start at k = 0
+    for n, y, truncate in ((10**5, 2, True), (1000, "1.01", True), (10**4, "1.0001", False)):
+        assert pe._term_walk(n, y, ctx, truncate)[1].first_kept_index == 0
+
+
+@pytest.mark.parametrize(
+    "n, y, truncate, log2_bound",
+    # measured errors against a 2P-bit walk: 2^-159.3 and 2^-149.4; the
+    # bound weighed by the last index K read 2^-132.4 and 2^-130.8
+    [(10**4, 100, False, -150), (10**5, "1.0001", True, -138)],
+)
+def test_rounding_bound_weighs_each_term_by_its_distance(ctx, n, y, truncate, log2_bound):
+    _, rep = pe._term_walk(n, y, ctx, truncate)
+    assert rep.rounding_bound < mpf(2) ** log2_bound
 
 
 def reference_log_f(n: int, y: Fraction, bits: int = 256) -> mpf:
