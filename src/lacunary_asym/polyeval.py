@@ -232,17 +232,19 @@ def _mantissa(x: mpf, bits: int) -> Tuple[int, int]:
 def _start_term(n: int, ks: int, y, P: int) -> Tuple[int, int, int, int, int, int]:
     """t_ks = C(n,ks) y^-C(ks,2) as a (2P+1)-bit int times 2^-s, and y^-ks
     and y^(ks-1) as P-bit mantissas with their shifts, each rounded to
-    nearest from a value computed at w = P + 64 + M bits, 2^M above the
-    magnitude of log n!, n ln n < (n+1) bits(n+1), and of C(ks,2) log y <
-    ks P, which the caller's (ks-1) log y < P ln 2 allows.
+    nearest from a value computed at w = P + 64 + M bits, with 2^M above
+    log n! < (n+1) bits(n+1), above C(ks,2) log y < ks P (the caller's
+    (ks-1) log y < P ln 2 allows that) and above C(ks,2) itself.
 
     log t_ks = log n! - log ks! - log (n-ks)! - C(ks,2) log y from
-    mp.loggamma: each part and each rounding of the sum is within a few
-    units of 2^(M-w), so the sum is within 2^-(P+60) and t_ks within
-    2^-(P+59), before the rounding to 2P+1 bits; the walk's bound allows
-    2^-(P+48).  About 0.15-0.25 ms at bits = 128 on a 2-vCPU x86-64 box.
+    mp.loggamma.  Each part and each rounding of the sum is within a few
+    units of 2^(M-w): log y is within 2^-w, absolute, of log of the exact
+    y, so C(ks,2) log y within C(ks,2) 2^-w.  So the sum is within
+    2^-(P+60) and t_ks within 2^-(P+59), before the rounding to 2P+1 bits;
+    the walk's bound allows 2^-(P+48).  About 0.15-0.25 ms at bits = 128 on
+    a 2-vCPU x86-64 box.
     """
-    M = ((n + 1) * (n + 1).bit_length() + ks * P).bit_length()
+    M = ((n + 1) * (n + 1).bit_length() + ks * (P + ks)).bit_length()
     with mp.workprec(P + 64 + M):
         L = mp.log(as_real(y))
         lt = mp.loggamma(n + 1) - mp.loggamma(ks + 1) - mp.loggamma(n - ks + 1)
@@ -255,8 +257,7 @@ def _term_walk(
     n: int, y, ctx: PrecisionContext, truncate: bool, n_min: int = 0
 ) -> Tuple[mpf, TruncationReport]:
     """Sum of t_k = C(n,k) y^{-C(k,2)} in P-bit fixed point, P = ctx.bits +
-    _LOOP_GUARD, walked from a start index ks: first left to smaller k, then
-    right from ks.
+    _LOOP_GUARD, walked from a start index ks: first left, then right.
 
     Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
     decreases strictly in k.  Once it drops below 1 the tail is
@@ -267,41 +268,40 @@ def _term_walk(
     take more than WALK_TERMS_CAP terms, times 160/(bits + _LOOP_GUARD) above
     128 bits, are refused before the first.
 
-    The start: ks is the peak k* (_peak_index, the bisection the budget also
-    reads) when the walk is truncated, the peak saves _START_TERMS terms more
-    than the left walk is predicted to take (sqrt(2 (P + _LEFT_CUT) ln 2 /
-    log y)) and y^(k*-1) < 2^(P-8), so that its shift stays positive; else 0.
-    t_ks, y^-ks and y^(ks-1) come from _start_term (for ks = 0 they are 1,
-    exactly).  The left walk takes t_{k-1}/t_k = k y^(k-1) / (n-k+1), below 1
-    left of the peak and falling, and stops at the first k where t_k rho/(1 -
-    rho) is within 2^-(P + _LEFT_CUT) of the running total; k is then
-    first_kept_index.  The right walk starts at ks on a total that holds the
-    left sum, with the stop test above, so terms_used, first_omitted_index
-    and omitted_tail_bound keep their meaning.
+    ks is the peak k* (_peak_index, the bisection the budget reads) if the
+    walk is truncated, k* exceeds the predicted left walk, sqrt(2 (P +
+    _LEFT_CUT) ln 2 / log y), by _START_TERMS, and y^(k*-1) < 2^(P-8), so
+    that the left shift stays positive; else 0, where t_0 = y^0 = 1.  The
+    left walk takes t_{k-1}/t_k = k y^(k-1) / (n-k+1), below 1 and falling,
+    and stops at the first k where t_k rho/(1 - rho) is within
+    2^-(P + _LEFT_CUT) of the total: first_kept_index.  The right walk
+    starts at ks on a total that holds the left sum, so terms_used,
+    first_omitted_index and omitted_tail_bound keep their meaning.
 
     term and total are Python ints times one shared 2^scale; total stays
     at least 2^(2P) (t_ks has 2P + 1 bits; once total passes 2^(3P), both
     shift right until it has 2P + 1 bits), so the last kept term still has
     about bits + 80 bits.  A y power is a P-bit mantissa times 2^-sh, each
-    step multiplying it by that of the P-bit mpf 1/y and rounding to nearest.
-    Right, the ratio is rho = num / ((k+1) 2^sh), num = (n-k) y^-k 2^sh; left,
-    rho = num / ((n-k+1) 2^sh), num = k y^(k-1) 2^sh.  rho < 1 and the stop
-    tests are exact integer comparisons that only shift right by sh.
+    step multiplying it by that of the P-bit mpf 1/y, rounded to nearest.
+    The ratio is rho = num / ((k+1) 2^sh), num = (n-k) y^-k 2^sh, on the
+    right, rho = num / ((n-k+1) 2^sh), num = k y^(k-1) 2^sh, on the left;
+    rho < 1 and the stop tests are exact integer comparisons that only shift
+    right by sh.  A test can pass only if rho < 1/2 or term <= total 2^-tol,
+    which bit lengths decide cheaply first.
 
     The rounding bound, relative to the sum of the kept terms.  A y power m
-    steps from the start drifts by at most (4m + e) 2^-P (1/y is at most
-    three roundings off, each step one more; e = 1 for a rounded y^-ks or
+    steps from ks drifts by at most (4m + e) 2^-P (1/y is at most three
+    roundings off, each step one more; e = 1 for a rounded y^-ks or
     y^(ks-1), 0 for ks = 0), so a term m steps out by W(m) 2^-P, W(m) =
-    2m(m-1) + e m.  A term at least 2^-_HEAVY_BITS of the running total is
-    heavy; away from the start the terms fall and the total grows (from
-    k = 0 they rise first, but then each is at least 1/(k+1) of the total),
-    so on each side the heavy terms come first, and every term at least
-    2^-_HEAVY_BITS of the sum is heavy.  The heavy terms weigh at most
-    W(m_h) 2^-P, m_h the farthest distance from ks at which a term was heavy
-    or the first light one, the light ones at most N W(m_end)
-    2^-(P + _HEAVY_BITS), N the terms evaluated, m_end the farthest
-    distance.  The final mpf rounds once more, 2^-P.  A peak start adds its
-    start term, within 2^-(P+48), and the dropped left terms, within
+    2m(m-1) + e m.  A term of at least 2^-_HEAVY_BITS of the running total
+    is heavy.  On each side the terms fall and the total grows (from k = 0
+    they rise first, but each is then at least 1/(k+1) of the total), so the
+    heavy terms come first, and every term of at least 2^-_HEAVY_BITS of the
+    sum is among them.  They weigh at most W(m_h) 2^-P, m_h the distance of
+    the first light term (else the last) on either side, the light ones at
+    most N W(m_end) 2^-(P + _HEAVY_BITS), for N terms evaluated and m_end
+    the farthest distance.  The final mpf rounds once more, 2^-P.  A peak
+    start adds its start term, within 2^-(P+48), and the left cut,
     2^-(P + _LEFT_CUT).  Each floor of a term or a shift loses under one
     unit, at most 2^-2P of the total; while the terms rise such a unit is at
     most N 2^-2P of the term, and where they fall it reaches each later term
@@ -396,10 +396,13 @@ def _term_walk(
         used - 1 - ks if light_r is None else light_r - ks,
     )
     e = 1 if ks else 0
-    W_h, W_end = 2 * m_h * (m_h - 1) + e * m_h, 2 * m_end * (m_end - 1) + e * m_end
+
+    def W(m):  # the drift of a term m steps from ks, in units of 2^-P
+        return 2 * m * (m - 1) + e * m
+
     # twice the rounding bound in units of 2^-2P; a peak start's start term
     # and left cut, 2^-(P+48) + 2^-(P+32), within 2^-(P+31)
-    units = (1 << (P + 1)) * (1 + W_h) + ((N * W_end << (P + 1)) >> _HEAVY_BITS) + 1
+    units = (1 << (P + 1)) * (1 + W(m_h)) + ((N * W(m_end) << (P + 1)) >> _HEAVY_BITS) + 1
     units += (N + 1) * (N + 1 + 2 * shifts) + (e << (P + 2 - _LEFT_CUT))
     with ctx.prec(_LOOP_GUARD):
         total_m = mpf((total, scale))
