@@ -20,25 +20,21 @@ Gaussian advances by two block-floating-point multiplies, e^{is} and the
 phase by one fixed-point complex multiply each, 1 + c e^{is} by one more,
 and its n-th power by binary powering in block floating point.  A row is
 summed exactly in ints, its end values halved by their exponents, and
-rounded once.  On a shared 2-vCPU x86-64 box (CPython 3.11, pure-Python
-mpmath) an evaluated point costs about 19 us over the quadcheck rows of
-the benchmark's verify workload (n <= 60) and 49-53 us at n = 200,
-y = 100 (860 working bits), setup included.
+rounded once.
 
 Working precision is the larger of ctx.bits and ceil(-log2 target_eps),
 raised per call by the known cancellation budget: the integrand mass can
 exceed the result by a factor e^{mass_log - result_log} (worst at k = 30,
 where the answer is ~2^-450 against an O(1) integrand), and flat roundoff
-must stay below the relative target of the result.  The plan (_plan)
-predicts the first pass's points times working bits before any row is
-built and refuses more than QUAD_WORK_CAP (quad-work-exceeded); each step
-halving is priced the same way before its row, which alone ends step
-halving that does not converge.
+must stay below the relative target of the result.  One work budget per
+call, QUAD_WORK_CAP, prices each point its rows evaluate: _plan the first
+pass and first halving before any row, _integrate each later row before
+it runs; it alone ends halving that does not converge (quad-work-exceeded).
 
 The three integrators share one routine, _integrate, and one domain: an
-integer n (k) in [0, QUAD_N_CAP] ([0, FOURIER_K_CAP]; above it: quad-cap),
-a finite y > 1 and a finite target_eps > 0.  Integrands take the same n, y
-and a finite real s (psi_exp: and r) of magnitude below 2^(working bits).
+integer n (k) >= 0, a finite y > 1 and a finite target_eps > 0.
+Integrands take the same n, y and a finite real s (psi_exp: and r) of
+magnitude below 2^(working bits).
 """
 
 from __future__ import annotations
@@ -63,26 +59,19 @@ from .numerics import (
 )
 from .solvers import solve_r
 
-# Desk-scale gate: S grows like sqrt(n) and the power like (1+sqrt(y))^n,
-# so large-n verification belongs to eval_log, not quadrature.
-QUAD_N_CAP = 200
-FOURIER_K_CAP = 64
-
 DEFAULT_TARGET_EPS = "1e-20"
 
 _GUARD = 32
 
-# Most points times working bits one pass of a quadrature may take: its work
-# budget, priced for the first pass before any row and for each step halving
-# before its row.  The price counts the whole grid over [-S, S], though the
-# rows evaluate only its nodes with s >= 0.  The largest plans in the tests
-# are 4,937,270 (integrate_original(60, "1e10"): 4,238 points at 1,165 bits,
-# then 4,237 in its one halving) and 4,194,220 (integrate_original(200, 100):
-# 4,877 points at 860 bits, then 4,876); on a shared 2-vCPU x86-64 box they
-# take 0.38-0.42 s and 0.24-0.26 s in all, against 1.09-1.11 s and
-# 0.70-0.76 s when the rows evaluated the whole grid.  In the benchmark
-# workloads the largest is 76,195 (quadcheck, n = 60, y = 2).
-QUAD_WORK_CAP = 10_000_000
+# Most work one quadrature call may do: the points its rows evaluate, each
+# priced (bit_length(m) + 2) max(wp, 512)^2 at wp working bits, m the power
+# of 1 + c e^{is} (0 for the Gaussian): a few wp-bit multiplies and two per
+# bit of m, quadratic in wp below CPython's Karatsuba cutoff, and flat below
+# 512 bits, where the interpreter's cost per operation dominates.  24 calls
+# of 0.1-9 s (wp 804-6,065, n 60-30,000) took 4.3e-12 to 1.1e-11 s per unit
+# on a shared 2-vCPU x86-64 box (CPython 3.11, pure-Python mpmath): at most
+# ~1.8 s.  integrate_original(200, 100) at 1,024 bits costs 1.50e11.
+QUAD_WORK_CAP = 160_000_000_000
 
 
 @dataclass(frozen=True)
@@ -141,30 +130,32 @@ def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
 
 
 def _plan(
-    L: float, band: float, mass_log: float, result_log: float, log_eps: float, bits: int
-) -> Tuple[float, int, int, float]:
+    L: float, n: int, power: int, mass_log: float, result_log: float, log_eps: float, bits: int
+) -> Tuple[float, int, int, float, int]:
     """Grid geometry from the crude mass bound: the half width S, the first
-    pass's panel count, the extra bits and the log of the Gaussian-tail
-    truncation bound.
+    pass's panel count, the extra bits, the log of the Gaussian-tail
+    truncation bound and the price of one point.
 
-    band:       highest Fourier mode of the non-Gaussian factor
+    n:          highest Fourier mode of the non-Gaussian factor
+    power:      the power m of 1 + c e^{is} (0 for the Gaussian alone)
     mass_log:   log sup of the integrand modulus
     result_log: log of a lower bound on the result magnitude
     log_eps:    log of the relative target
     Tail cut: e^{mass_log - S^2/(2L)} <= eps_abs e^-5; alias cut: grid
     Nyquist 2 pi/h beyond band + Gaussian spectral width at eps_abs.
 
-    The first pass's grid has panels + 1 points (its row evaluates about
-    half of them) at bits + _GUARD + extra bits; above QUAD_WORK_CAP of
-    their product: DomainError("quad-work-exceeded").
+    The first pass and the halving that always follows it evaluate panels
+    + 1 points, each priced (bit_length(power) + 2) max(wp, 512)^2, wp =
+    bits + _GUARD + extra; above QUAD_WORK_CAP: quad-work-exceeded.
     """
     need = max(0.0, mass_log - (result_log + log_eps))  # a target above the mass needs no cut
     S = math.sqrt(2 * L * (need + 5))
-    h0 = 2 * math.pi / (band + math.sqrt(2 * need / L) + 4)
+    h0 = 2 * math.pi / (n + math.sqrt(2 * need / L) + 4)
     extra = max(0, math.ceil((mass_log - result_log) / math.log(2))) + 8
     panels = max(math.ceil(2 * S / h0), 8)
-    _price(panels + 1, bits + _GUARD + extra)
-    return S, panels, extra, mass_log - S * S / (2 * L)
+    unit = (power.bit_length() + 2) * max(bits + _GUARD + extra, 512) ** 2
+    _price(0, panels + 1, unit)
+    return S, panels, extra, mass_log - S * S / (2 * L), unit
 
 
 def _fixed(z: mpc, wp: int) -> Tuple[int, int]:
@@ -296,25 +287,26 @@ def _row_factory(
     return row
 
 
-def _price(points: int, wp: int) -> None:
-    """Refuse a pass of points at wp bits above QUAD_WORK_CAP of their
-    product (quad-work-exceeded)."""
-    work = points * wp
+def _price(spent: int, points: int, unit: int) -> int:
+    """spent plus points at unit each: a call's work once they are
+    evaluated.  Above QUAD_WORK_CAP: DomainError("quad-work-exceeded")."""
+    work = spent + points * unit
     if work > QUAD_WORK_CAP:
         raise DomainError(
             "quad-work-exceeded",
-            f"{points} points at {wp} bits, {work} bit-points above the cap {QUAD_WORK_CAP}",
+            f"{points} more points at {unit} each bring the work to {work}, "
+            f"above the cap {QUAD_WORK_CAP}",
         )
+    return work
 
 
 def _trapezoid(
     row: Callable[..., mpf], S: mpf, panels: int, rel_tol: mpf
 ) -> Tuple[mpf, mpf, int, mpf]:
     """Composite trapezoid over [-S, S] under step halving, at the active
-    precision, until two rounds agree to rel_tol or the price (_price) of a
-    round's row refuses it: at least 8 panels at 53 + _GUARD + 8 = 93 bits
-    or more (_plan) price halving k = 0, 1, ... at 8 2^k 93 bit-points or
-    more, above QUAD_WORK_CAP = 10^7 from k = 14 on: at most 14 halvings run.
+    precision, until two rounds agree to rel_tol or the price of a row
+    refuses it: m halvings of P >= 8 panels evaluate P 2^(m-1) + 1 points at
+    2 512^2 or more each, above QUAD_WORK_CAP for m = 17: at most 16 run.
 
     The integrand is Hermitian, f(-s) = conj f(s) (real log A, beta and c),
     and every grid is symmetric about 0, so each row sums only the nodes
@@ -324,13 +316,12 @@ def _trapezoid(
     - first pass, odd P: h/2, ..., S, S halved;
     - halving, even P: h/2, ..., S - h/2;
     - halving, odd P: 0, h, ..., S - h/2, 0 halved.
-    P is even after the first halving.  _price still prices the whole grid.
+    P is even after the first halving.
     """
     h = 2 * S / panels
     odd, half = panels % 2, panels // 2
     T = 2 * h * row(h / 2 if odd else mpf(0), h, half + 1, not odd, True)
     while True:
-        _price(panels, mp.prec)
         mid = row(mpf(0) if odd else h / 2, h, half + odd, bool(odd))
         T, T_prev = T / 2 + h * mid, T
         h, panels, odd, half = h / 2, 2 * panels, 0, panels
@@ -338,19 +329,17 @@ def _trapezoid(
             return T, h, panels, diff
 
 
-def _integrate(
-    n: int, y, ctx: PrecisionContext, target_eps, cap: int, setup
-) -> QuadratureResult:
+def _integrate(n: int, y, ctx: PrecisionContext, target_eps, setup) -> QuadratureResult:
     """Validate, plan, elevate the precision and sum A e^{-s^2/(2L)} e^{i beta s}
     (1 + c e^{is})^n.  setup(ym, L) gives mass_log, result_log and
     coefficients(ym, L), which gives log A, beta and c at elevated precision.
     The sum runs at bits = max(ctx.bits, ceil(-log2 eps)) plus the
     elevation, so a target finer than ctx can be met; the result is rounded
     to ctx like every other value.  setup runs at ctx's precision: the plan
-    reads only floats from it, so a target of 1e-1000000000 (3.3e9 bits)
-    is refused before any work at those bits.
+    reads only floats from it, so a target of 1e-1000000000 (3.3e9 bits),
+    or an n or mass past the float range, is refused before any work.
     """
-    require_n(n, cap=cap, cap_code="quad-cap")
+    require_n(n)
     require_y(y)
     eps = as_real(DEFAULT_TARGET_EPS if target_eps is None else require_eps(target_eps))
     # the plan rests on math.log of the float; mp.log only below the float range
@@ -359,13 +348,23 @@ def _integrate(
     bits = max(ctx.bits, 1 - exp - bc)  # ceil(-log2 eps): the sum can meet the target
     with ctx.prec(_GUARD):
         ym, L = y_and_log(y)
-        mass_log, result_log, coefficients = setup(ym, L)
-    S, panels, extra_bits, trunc_log = _plan(
-        float(L), float(n), mass_log, result_log, log_eps, bits
-    )
+        try:
+            mass_log, result_log, coefficients = setup(ym, L)
+            power = n if coefficients(ym, L)[2] else 0  # the row's has_power
+            S, panels, extra_bits, trunc_log, unit = _plan(
+                float(L), n, power, mass_log, result_log, log_eps, bits
+            )
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError("quad-work-exceeded", "the plan overflows floats") from exc
     with mp.workprec(bits + _GUARD + extra_bits):
         ym_hi, L_hi = y_and_log(y)
-        row = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n)
+        summed, spent = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n), 0
+
+        def row(s0: mpf, step: mpf, count: int, *ends: bool) -> mpf:
+            nonlocal spent  # each row is priced before it runs
+            spent = _price(spent, count, unit)
+            return summed(s0, step, count, *ends)
+
         T, h, panels, diff = _trapezoid(row, mpf(S), panels, eps)
     with mp.workprec(bits + _GUARD):
         norm = mp.sqrt(2 * mp.pi * y_and_log(y)[1])
@@ -383,7 +382,7 @@ def integrate_original(
     def setup(ym, L):
         return n * float(mp.log1p(mp.sqrt(ym))), 0.0, _shifted(mpf(0))
 
-    return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
+    return _integrate(n, y, ctx, target_eps, setup)
 
 
 def integrate_shifted(
@@ -402,7 +401,7 @@ def integrate_shifted(
         amp_log, _, c = coefficients(ym, L)
         return float(amp_log + n * mp.log1p(c)), 0.0, coefficients
 
-    return _integrate(n, y, ctx, target_eps, QUAD_N_CAP, setup)
+    return _integrate(n, y, ctx, target_eps, setup)
 
 
 def gaussian_fourier(
@@ -418,4 +417,4 @@ def gaussian_fourier(
     def setup(ym, L):
         return 0.0, -k * k * float(L) / 2, lambda ym, L: (mpf(0), mpf(k), mpf(0))
 
-    return _integrate(k, y, ctx, target_eps, FOURIER_K_CAP, setup)
+    return _integrate(k, y, ctx, target_eps, setup)

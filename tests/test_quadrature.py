@@ -193,9 +193,10 @@ class TestIntegrateOriginal:
         with pytest.raises(DomainError) as exc:
             integrate_original(-1, 2, ctx)
         assert exc.value.code == "n-out-of-domain"
-        with pytest.raises(DomainError) as exc:
-            integrate_original(qd.QUAD_N_CAP + 1, 2, ctx)
-        assert exc.value.code == "quad-cap"
+        # n = 201, above the size cap of 200 that the work price replaced
+        exact = eval_exact(201, 2)
+        res = integrate_original(201, 2, ctx)
+        assert rel_err(res.value, exact.numerator, exact.denominator) <= mpf("1e-20")
         with pytest.raises(DomainError) as exc:
             integrate_original(3, Fraction(1, 2), ctx)
         assert exc.value.code == "y-out-of-domain"
@@ -225,9 +226,10 @@ class TestIntegrateShifted:
                 assert abs(a.value - b.value) <= mpf("2e-20") * abs(a.value)
 
     def test_domain_errors(self, ctx):
-        with pytest.raises(DomainError) as exc:
-            integrate_shifted(qd.QUAD_N_CAP + 1, 2, ctx)
-        assert exc.value.code == "quad-cap"
+        # n = 201, above the size cap of 200 that the work price replaced
+        exact = eval_exact(201, 2)
+        res = integrate_shifted(201, 2, ctx)
+        assert rel_err(res.value, exact.numerator, exact.denominator) <= mpf("1e-20")
         with pytest.raises(DomainError) as exc:
             integrate_shifted(-2, 2, ctx)
         assert exc.value.code == "n-out-of-domain"
@@ -251,9 +253,10 @@ class TestGaussianFourier:
             assert abs(res.value - want) <= mpf("1e-20") * want
 
     def test_caps_and_domains(self, ctx):
-        with pytest.raises(DomainError) as exc:
-            gaussian_fourier(qd.FOURIER_K_CAP + 1, 2, ctx)
-        assert exc.value.code == "quad-cap"
+        # k = 65, above the size cap of 64 that the work price replaced
+        res = gaussian_fourier(65, 2, ctx)
+        with mp.workprec(2400):
+            assert abs(res.value - mpf(2) ** (-mpf(65 * 65) / 2)) <= mpf("1e-20") * res.value
         with pytest.raises(DomainError) as exc:
             gaussian_fourier(-1, 2, ctx)
         assert exc.value.code == "n-out-of-domain"
@@ -440,6 +443,33 @@ def test_row_values_within_the_rounding_bound(monkeypatch, name, n, y):
             gauss = exact(L, amp_log, 0, 0, 0)(s0, h, count).real
             bound = gauss * (1 + c) ** n_ * mpf(2) ** (1 - p) * (1 + mpf(2) ** -20)
             assert abs(total - want) <= bound + mpf(2) ** -p * abs(want), (s0, count)
+
+
+@pytest.mark.parametrize("name, n, y, bits", REFERENCE_GRID)
+def test_price_charges_the_points_the_rows_evaluate(monkeypatch, name, n, y, bits):
+    # _plan prices the first pass and the first halving before any row is
+    # built, and each row is charged its points before it runs
+    charged, counts = [], []
+    price, factory = qd._price, qd._row_factory
+
+    def charging(spent, points, unit):
+        charged.append(points)
+        return price(spent, points, unit)
+
+    def counting(*args):
+        row = factory(*args)
+
+        def counted(s0, h, count, *ends):
+            counts.append(count)
+            return row(s0, h, count, *ends)
+
+        return counted
+
+    monkeypatch.setattr(qd, "_price", charging)
+    monkeypatch.setattr(qd, "_row_factory", counting)
+    run(name, n, y, bits)
+    assert charged[0] == counts[0] + counts[1]
+    assert charged[1:] == counts
 
 
 @pytest.mark.parametrize("name, n, y", ROW_CASES)
