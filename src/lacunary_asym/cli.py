@@ -228,13 +228,12 @@ def _quadcheck_cells(config: RunConfig, n: int) -> Dict[str, object]:
 # run(): its help line and, for a row command, its output fields, the cells of
 # one n and the smallest n it takes; monotone has no rows but a certificate.
 # A row's y cell is the configured y unless the cells carry their own (the
-# rounded y of a record).  An exact command takes y as a Fraction.
+# rounded y of a record).
 class Command(NamedTuple):
     help: str
     fields: Sequence[str] = ()
     cells: Optional[Callable[[RunConfig, int], Dict[str, object]]] = None
     n_min: int = 1
-    exact: bool = False
 
 
 _COMMANDS: Dict[str, Command] = {
@@ -259,9 +258,8 @@ _COMMANDS: Dict[str, Command] = {
         ("n", "y", "f_exact", "dev_original", "dev_shifted", "dev_cross", "status"),
         _quadcheck_cells,
         n_min=0,
-        exact=True,
     ),
-    "monotone": Command("exact difference-positivity certificate", exact=True),
+    "monotone": Command("exact difference-positivity certificate"),
 }
 
 
@@ -304,7 +302,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     command = _COMMANDS[args.command]
     try:
         # a Decimal compares with 1 without building 10^exponent (1.4 s for 1e2999999)
-        if command.exact or "/" in args.y:
+        if "/" in args.y:
             y = to_fraction(require_exact_bits(args.y))
         else:
             y = require_exact_bits(Decimal(args.y))

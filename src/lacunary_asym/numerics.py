@@ -142,24 +142,28 @@ def brief(value) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... <{len(text)} chars>"
 
 
-def require_exact_bits(value, name: str = "y"):
+def require_exact_bits(value, name: str = "y", weight: int = 0):
     """``value`` itself unless it is a decimal (str or Decimal) whose digits
-    and exponent need more than EXACT_BITS_CAP bits, or whose digits number
-    more than EXACT_DIGITS_CAP: DomainError ("exact-bits-exceeded"), decided
-    before to_fraction builds 10^exponent."""
+    and exponent need more than EXACT_BITS_CAP bits, whose digits number
+    more than EXACT_DIGITS_CAP, or, if positive, whose |log2|, a lower bound
+    on the bits of its numerator and denominator, times ``weight`` passes
+    EXACT_BITS_CAP: DomainError ("exact-bits-exceeded"), decided before
+    to_fraction builds 10^exponent."""
     if not isinstance(value, (str, Decimal)):
         return value
     try:
-        _, digits, exp = Decimal(value).as_tuple()
+        sign, digits, exp = Decimal(value).as_tuple()
     except ArithmeticError:
         return value  # not a decimal (say "3/2"); Fraction decides
     size = len(digits) + abs(exp) if isinstance(exp, int) else 0
-    # 10/3 bits per digit, above log2(10)
-    if 10 * size > 3 * EXACT_BITS_CAP or len(digits) > EXACT_DIGITS_CAP:
+    # 10^a <= value < 10^(a+1), and 3.32 < log2(10) < 10/3 bits per digit
+    a = len(digits) + exp - 1 if size and any(digits) and not sign else 0
+    log2 = (a if a >= 0 else -a - 1) * 332 // 100
+    if max(10 * size, 3 * weight * log2) > 3 * EXACT_BITS_CAP or len(digits) > EXACT_DIGITS_CAP:
         raise DomainError(
             "exact-bits-exceeded",
-            f"{name} has {len(digits)} digits and decimal exponent {exp}, "
-            f"above the cap of {EXACT_BITS_CAP} bits or {EXACT_DIGITS_CAP} digits",
+            f"{name} has {len(digits)} digits and decimal exponent {exp}, above the cap of "
+            f"{EXACT_BITS_CAP} bits ({weight} x {log2} here) or {EXACT_DIGITS_CAP} digits",
         )
     return value
 

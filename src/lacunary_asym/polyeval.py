@@ -47,6 +47,7 @@ from .numerics import (
     as_real,
     brief,
     coprime_fraction,
+    require_exact_bits,
     require_n,
     require_y,
 )
@@ -114,16 +115,17 @@ def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
     """The exact-mode domain: integers n, r >= 0 with n + r within the cap
     and a rational y = p/q > 0, returned as a Fraction, whose denominator
     p^C(n+r,2) (or numerator) is predicted to fit EXACT_BITS_CAP; with
-    ``table``, the values at all n' <= n, r' <= r together."""
+    ``table``, the values at all n' <= n, r' <= r together.  A decimal y is
+    priced by |log2 y| (require_exact_bits) before it is built."""
     require_n(n)
     require_n(r, name="r")
     require_n(n + r, cap=EXACT_MODE_CAP, cap_code="exact-cap-exceeded", name="n+r")
-    yq = require_y(y, exact=True)
-    y_bits = max(yq.numerator.bit_length(), yq.denominator.bit_length())
-    bits = (n + r) * (n + r - 1) // 2 * y_bits
+    weight = (n + r) * (n + r - 1) // 2
     if table:  # the min(m, n) - max(0, m - r) + 1 values with n' + r' = m share C(m,2)
-        bits = sum((min(m, n) - max(0, m - r) + 1) * m * (m - 1) // 2 for m in range(n + r + 1))
-        bits *= y_bits
+        weight = sum((min(m, n) - max(0, m - r) + 1) * m * (m - 1) // 2 for m in range(n + r + 1))
+    yq = require_y(require_exact_bits(y, weight=weight), exact=True)
+    y_bits = max(yq.numerator.bit_length(), yq.denominator.bit_length())
+    bits = weight * y_bits
     if bits > EXACT_BITS_CAP:
         raise DomainError(
             "exact-bits-exceeded",

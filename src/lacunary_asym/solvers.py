@@ -9,8 +9,9 @@ function", 1996, section 5) from a float64 seed: the seed is the root of the
 equation in logarithmic form, t + log t = log x for w and log t +
 log(e^t + sqrt(y)) = log rhs for r, solved by Newton in floats.  Halley's
 step triples the correct bits, so from 53 seeded bits one step reaches 128-bit
-work; g, g' and g'' come from one exp.  Where floats do not reach (log x >=
-1e308 or x < 1e-300) the seed falls back to log x - log log x, x or w.
+work; g, g' and g'' come from one exp.  Where floats do not resolve the
+seed (log x >= 2^53, or x < 1e-300, or rhs or log rhs past 1e308) it falls
+back to log x - log log x, x or w.
 
 The iteration is bracketed: a step at or past an end of the given bracket
 lands on that end once (the root may round to it), any other step leaving
@@ -22,7 +23,11 @@ the seed already met the tolerance, one Newton step polishes the root and
 the smaller residual is kept.
 
 Roots are certified: every RootResult carries the achieved residual, and
-the advertised bound |residual| <= 4 eps * rhs holds on return.  Domain:
+the advertised bound |residual| <= 4 eps * rhs holds on return.  Where no
+t at the working precision meets it (t e^t = 2^(2^60)), the iteration
+ends once a Halley step cannot move t or a state recurs, with
+DomainError("root-unresolved"); MAX_ITER iterations without either end in
+ComputationError("solver-diverged"), a bug.  Domain:
 finite reals n > 0 (not only integers), y > 1 and Lambert argument x > 0.
 """
 
@@ -37,6 +42,7 @@ from mpmath import mp, mpf
 from .numerics import (
     DEFAULT_CTX,
     ComputationError,
+    DomainError,
     PrecisionContext,
     as_real,
     require_real,
@@ -103,6 +109,7 @@ def _halley_bracketed(
     # rounds to one of them, a step at or past it lands on it
     lo_open = hi_open = True
     settled = False
+    seen = set()
     while abs(gt) > tol:
         if iterations >= MAX_ITER:
             raise ComputationError(
@@ -116,6 +123,16 @@ def _halley_bracketed(
             lo, lo_open = t, False
         den = 2 * d1 * d1 - gt * d2
         cand = t - 2 * gt * d1 / den if den > 0 else t
+        # a step too small to move t leaves t the representable point nearest
+        # the root; a state met before repeats its steps: no t meets tol
+        state = (t, lo, hi, lo_open, hi_open)
+        if (den > 0 and cand == t) or state in seen:
+            raise DomainError(
+                "root-unresolved",
+                f"no t at {mp.prec} bits meets the tolerance; "
+                f"stopped after {iterations} iterations",
+            )
+        seen.add(state)
         halley = lo < cand < hi
         if not halley:
             if cand >= hi and hi_open:
@@ -154,7 +171,9 @@ def _lambert_seed(xm: mpf) -> Tuple[mpf, mpf, mpf]:
     lnx = mp.log(xm)
     lo, hi = mpf(1), lnx
     L = float(lnx)
-    if not L < _FLOAT_HUGE:
+    # from 2^53 on a float t is off by an ulp of L, over 1, which Halley
+    # climbs by about 2 per step; L - log L is within log L / L of the root
+    if not L < 2.0**53:
         return lo, hi, lnx - mp.log(lnx)
     # t + log t - log x is concave; Newton ascends to the root from
     # L - log L, which lies below it

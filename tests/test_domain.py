@@ -390,6 +390,51 @@ CASES = [
     ),
 ]
 
+# a decimal y that exact mode priced only after to_fraction had built
+# 10^2999999 (1.9 s each); its exponent now prices it first
+PRICED_Y = [
+    pytest.param(
+        lambda: eval_exact(5, "1e2999999"),
+        "exact-bits-exceeded",
+        id="eval_exact(5, '1e2999999')",
+    ),
+    pytest.param(
+        lambda: eval_exact(5, "1e-2999999"),
+        "exact-bits-exceeded",
+        id="eval_exact(5, '1e-2999999')",
+    ),
+    pytest.param(
+        lambda: certify_absolute_monotonicity(3, 3, "1e2999999"),
+        "exact-bits-exceeded",
+        id="certify_absolute_monotonicity(3, 3, '1e2999999')",
+    ),
+    pytest.param(
+        ["quadcheck", "--y", "1e2999999", "--n", "5"],
+        EXIT_DOMAIN,
+        id="cli quadcheck --y 1e2999999 --n 5",
+    ),
+    pytest.param(
+        ["monotone", "--y", "1e2999999", "--N", "3", "--R", "3"],
+        EXIT_DOMAIN,
+        id="cli monotone --y 1e2999999 --N 3 --R 3",
+    ),
+]
+
+# roots that no t at the working precision resolves: solver-diverged (the
+# "bug" code) after 200 iterations, once with a 383-character message
+UNRESOLVED = [
+    pytest.param(
+        lambda bits=bits, e=e: lambert_w(mpf(2) ** (2**e), PrecisionContext(bits)),
+        "root-unresolved",
+        id=f"lambert_w(2**(2**{e}), {bits} bits)",
+    )
+    for e, bits in (
+        (1030, 53), (1030, 128), (1030, 1024), (60, 53), (60, 128), (60, 1024), (45, 128)
+    )
+]
+
+CASES += PRICED_Y + UNRESOLVED
+
 
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("case, expected", CASES)
@@ -406,6 +451,22 @@ def test_rejected_with_a_code(case, expected, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert len(err) < 200
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("case, expected", PRICED_Y)
+def test_decimal_y_priced_before_it_is_built(case, expected, capsys):
+    start = time.perf_counter()
+    test_rejected_with_a_code(case, expected, capsys)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("case, expected", UNRESOLVED)
+def test_unresolved_root_has_a_short_message(case, expected):
+    with pytest.raises(DomainError) as exc:
+        case()
+    assert exc.value.code == expected and len(str(exc.value)) <= 120
 
 
 # Calls refused while theta_3 was summed only directly: its order passed a
