@@ -48,7 +48,7 @@ EXACT_DIGITS_CAP = 100_000
 # cost grows with it.  The walk's budget counts terms x bits above 128 bits,
 # so eval --y 1.0000023 --n 10000000 (994,654 predicted terms, 3.8-9.4 s at
 # this cap on a shared 2-vCPU x86-64 box, 1.2-1.4 s at 128 bits) is refused
-# here.  At the cap quadcheck --y 1e10 --n 60 --bits 1024 takes 1.2-1.3 s.
+# here.  At the cap quadcheck --y 1e10 --n 60 --bits 1024 takes 1.1 s.
 # approximation_summary(10, 2) took 73.6 s at 10^5 bits.  The tests do work
 # at 400 bits at most.
 PRECISION_BITS_CAP = 1024
@@ -157,7 +157,7 @@ def require_exact_bits(value, name: str = "y", weight: int = 0):
         return value  # not a decimal (say "3/2"); Fraction decides
     size = len(digits) + abs(exp) if isinstance(exp, int) else 0
     # 10^a <= value < 10^(a+1), and 3.32 < log2(10) < 10/3 bits per digit
-    a = len(digits) + exp - 1 if size and any(digits) and not sign else 0
+    a = len(digits) + exp - 1 if isinstance(exp, int) and any(digits) and not sign else 0
     log2 = (a if a >= 0 else -a - 1) * 332 // 100
     if max(10 * size, 3 * weight * log2) > 3 * EXACT_BITS_CAP or len(digits) > EXACT_DIGITS_CAP:
         raise DomainError(

@@ -130,13 +130,13 @@ def psi_exp(s, n: int, y, r, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
 
 
 def _plan(
-    L: float, n: int, power: int, mass_log: float, result_log: float, log_eps: float, bits: int
+    L: float, band: float, power: int, mass_log: float, result_log: float, log_eps: float, bits: int
 ) -> Tuple[float, int, int, float, int]:
     """Grid geometry from the crude mass bound: the half width S, the first
     pass's panel count, the extra bits, the log of the Gaussian-tail
     truncation bound and the price of one point.
 
-    n:          highest Fourier mode of the non-Gaussian factor
+    band:       highest Fourier mode of the non-Gaussian factor
     power:      the power m of 1 + c e^{is} (0 for the Gaussian alone)
     mass_log:   log sup of the integrand modulus
     result_log: log of a lower bound on the result magnitude
@@ -150,7 +150,7 @@ def _plan(
     """
     need = max(0.0, mass_log - (result_log + log_eps))  # a target above the mass needs no cut
     S = math.sqrt(2 * L * (need + 5))
-    h0 = 2 * math.pi / (n + math.sqrt(2 * need / L) + 4)
+    h0 = 2 * math.pi / (band + math.sqrt(2 * need / L) + 4)
     extra = max(0, math.ceil((mass_log - result_log) / math.log(2))) + 8
     panels = max(math.ceil(2 * S / h0), 8)
     unit = (power.bit_length() + 2) * max(bits + _GUARD + extra, 512) ** 2
@@ -358,7 +358,8 @@ def _integrate(n: int, y, ctx: PrecisionContext, target_eps, setup) -> Quadratur
             raise DomainError("quad-work-exceeded", "the plan overflows floats") from exc
     with mp.workprec(bits + _GUARD + extra_bits):
         ym_hi, L_hi = y_and_log(y)
-        summed, spent = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n), 0
+        summed = _row_factory(L_hi, *coefficients(ym_hi, L_hi), n)
+        spent = 0
 
         def row(s0: mpf, step: mpf, count: int, *ends: bool) -> mpf:
             nonlocal spent  # each row is priced before it runs

@@ -284,6 +284,23 @@ CASES = [
         EXIT_DOMAIN,
         id="cli quadcheck --y 1e30 --n 60",
     ),
+    # no size cap on n or k since the price counts what a point costs: a
+    # plan past the float range (a raw OverflowError) is priced out too
+    pytest.param(
+        lambda: integrate_original(10**400, 2),
+        "quad-work-exceeded",
+        id="integrate_original(10**400, 2)",
+    ),
+    pytest.param(
+        lambda: integrate_shifted(10**400, 2),
+        "quad-work-exceeded",
+        id="integrate_shifted(10**400, 2)",
+    ),
+    pytest.param(
+        lambda: gaussian_fourier(2**600, 2),
+        "quad-work-exceeded",
+        id="gaussian_fourier(2**600, 2)",
+    ),
     # more digits than exact mode turns into an int in bounded time
     pytest.param(
         lambda: eval_exact(3, "1." + "0" * 200_000 + "1"),
