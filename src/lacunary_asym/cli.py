@@ -36,14 +36,11 @@ from . import __version__
 from .asymptotics import approx_theorem, approximation_summary
 from .numerics import (
     PRECISION_BITS_CAP,
-    DomainError,
     LacunaryError,
     PrecisionContext,
     as_real,
     brief,
-    require_exact_bits,
     require_n,
-    to_fraction,
 )
 from .polyeval import certify_absolute_monotonicity, eval_exact, eval_log
 from .quadrature import DEFAULT_TARGET_EPS, integrate_original, integrate_shifted
@@ -301,15 +298,14 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     args = _PARSER.parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        # a Decimal compares with 1 without building 10^exponent (1.4 s for 1e2999999)
+        # --y is only parsed here: a Decimal compares with 1 without building
+        # 10^exponent (1.4 s for 1e2999999), and the library prices it
         if "/" in args.y:
-            y = to_fraction(require_exact_bits(args.y))
+            y = Fraction(args.y)
         else:
-            y = require_exact_bits(Decimal(args.y))
+            y = Decimal(args.y)
             if not y.is_finite():
                 raise ValueError("not finite")
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(f"cannot parse rational number {brief(args.y)}") from exc
     if y <= 1:

@@ -15,9 +15,10 @@ bit-identical outputs.
 
 Every public entry point checks its real and integer inputs with the
 require_* functions below.  They decide exactly, on the input's own value,
-raise a coded DomainError and hand the value back unchanged (exact y as a
-Fraction): each layer still applies as_real at its own precision.  Exact
-work is bounded by EXACT_BITS_CAP, checked before any big integer is built.
+raise a coded DomainError and hand the value back unchanged: each layer
+still applies as_real at its own precision (y_and_log: y and log y).
+Exact mode reads its rational y in polyeval._exact_args alone, and prices
+it against EXACT_BITS_CAP before any big integer is built.
 """
 
 from __future__ import annotations
@@ -142,54 +143,14 @@ def brief(value) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... <{len(text)} chars>"
 
 
-def require_exact_bits(value, name: str = "y", weight: int = 0):
-    """``value`` itself unless it is a decimal (str or Decimal) whose digits
-    and exponent need more than EXACT_BITS_CAP bits, whose digits number
-    more than EXACT_DIGITS_CAP, or, if positive, whose |log2|, a lower bound
-    on the bits of its numerator and denominator, times ``weight`` passes
-    EXACT_BITS_CAP: DomainError ("exact-bits-exceeded"), decided before
-    to_fraction builds 10^exponent."""
-    if not isinstance(value, (str, Decimal)):
-        return value
-    try:
-        sign, digits, exp = Decimal(value).as_tuple()
-    except ArithmeticError:
-        return value  # not a decimal (say "3/2"); Fraction decides
-    size = len(digits) + abs(exp) if isinstance(exp, int) else 0
-    # 10^a <= value < 10^(a+1), and 3.32 < log2(10) < 10/3 bits per digit
-    a = len(digits) + exp - 1 if isinstance(exp, int) and any(digits) and not sign else 0
-    log2 = (a if a >= 0 else -a - 1) * 332 // 100
-    if max(10 * size, 3 * weight * log2) > 3 * EXACT_BITS_CAP or len(digits) > EXACT_DIGITS_CAP:
-        raise DomainError(
-            "exact-bits-exceeded",
-            f"{name} has {len(digits)} digits and decimal exponent {exp}, above the cap of "
-            f"{EXACT_BITS_CAP} bits ({weight} x {log2} here) or {EXACT_DIGITS_CAP} digits",
-        )
-    return value
-
-
-def to_fraction(value) -> Fraction:
-    """Fraction(value), a decimal string through Decimal.as_integer_ratio:
-    Fraction(text) builds its ints with int(str), which Python refuses past
-    4300 digits.  The ratio comes in lowest terms.  Callers bound the
-    decimal's size first (require_exact_bits)."""
-    if isinstance(value, str) and "/" not in value:
-        return coprime_fraction(*Decimal(value).as_integer_ratio())
-    return Fraction(value)
-
-
-def _exact(value, exact: bool):
+def _exact(value):
     """A real input as a value that compares exactly with 0 and 1, or
     TypeError/ValueError/ArithmeticError.
 
-    Exact mode takes what to_fraction takes (not mpf); require_real has
-    bounded a decimal's size first.  Otherwise a decimal (a string or a
-    Decimal) becomes a Decimal and an mpf stays as it is: the side of 0 and
-    1, all a real domain asks, is decided without building 10^(10^9) or a
-    million-digit int.
+    A decimal (a string or a Decimal) becomes a Decimal and an mpf stays as
+    it is: the side of 0 and 1, all a real domain asks, is decided without
+    building 10^(10^9) or a million-digit int.
     """
-    if exact:
-        return to_fraction(value)
     if isinstance(value, (numbers.Rational, float)) or (
         isinstance(value, str) and "/" in value
     ):
@@ -205,19 +166,15 @@ def _exact(value, exact: bool):
     return value
 
 
-def require_real(value, code: str, name: str, *, above: float = 0, exact: bool = False):
-    """``value`` itself if it is a finite real above ``above``; in exact mode
-    its Fraction, if it is a rational above ``above``.  Else DomainError(code)."""
-    kind = "rational" if exact else "finite real"
-    if exact:
-        require_exact_bits(value, name)
+def require_real(value, code: str, name: str, *, above: float = 0):
+    """``value`` itself if it is a finite real above ``above``, else DomainError(code)."""
     try:
-        q = _exact(value, exact)
+        q = _exact(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise DomainError(code, f"{name} must be a {kind}, got {brief(value)}") from exc
+        raise DomainError(code, f"{name} must be a finite real, got {brief(value)}") from exc
     if not q > above:
-        raise DomainError(code, f"{name} must be a {kind} > {above}, got {brief(value)}")
-    return q if exact else value
+        raise DomainError(code, f"{name} must be a finite real > {above}, got {brief(value)}")
+    return value
 
 
 def require_resolved(value, code: str, name: str, bits: int):
@@ -228,19 +185,19 @@ def require_resolved(value, code: str, name: str, bits: int):
     radian: the result would keep no correct digit, while mpmath's argument
     reduction still spends time that grows with the exponent of the value."""
     require_real(value, code, name, above=-math.inf)
-    if not abs(_exact(value, False)) < 2**bits:
+    if not abs(_exact(value)) < 2**bits:
         raise DomainError(code, f"|{name}| must be below 2^{bits}, got {brief(value)}")
     return value
 
 
-def require_y(y, *, exact: bool = False):
-    """y itself if it is a finite real > 1; in exact mode, y as a Fraction
-    if it is a rational > 0."""
-    return require_real(y, "y-out-of-domain", "y", above=0 if exact else 1, exact=exact)
+def require_y(y):
+    """y itself if it is a finite real > 1; exact mode reads y in polyeval._exact_args."""
+    return require_real(y, "y-out-of-domain", "y", above=1)
 
 
 def y_and_log(y):
-    """(y, log y) at the active precision, y past require_y; y-out-of-domain where log y = 0."""
+    """(y, log y) at the active precision; y-out-of-domain unless y > 1 and log y != 0."""
+    require_y(y)
     ym = as_real(y)
     L = mp.log(ym)
     if L == 0:

@@ -19,7 +19,8 @@ and certifies their positivity (absolute monotonicity) on a grid: an int
 Pascal table in n, checked against telescoped exact evaluations.
 
 Domains (checked through the numerics boundary): integers n, r >= 0, not
-bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0 with
+bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0, read
+and priced in _exact_args (a decimal before it is built), with
 n + r <= EXACT_MODE_CAP and C(n+r,2) * max(bits of p, q) <= EXACT_BITS_CAP,
 the float and log paths a finite real y > 1, the regime where the
 term-ratio truncation bound applies, and a walk predicted to fit
@@ -29,6 +30,7 @@ WALK_TERMS_CAP terms, priced in terms x bits above 128 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, isqrt, log, sqrt
 from typing import Optional, Tuple
@@ -38,6 +40,7 @@ from mpmath import mp, mpf
 from .numerics import (
     DEFAULT_CTX,
     EXACT_BITS_CAP,
+    EXACT_DIGITS_CAP,
     ComputationError,
     DomainError,
     ExactRational,
@@ -47,7 +50,6 @@ from .numerics import (
     as_real,
     brief,
     coprime_fraction,
-    require_exact_bits,
     require_n,
     require_y,
 )
@@ -115,15 +117,45 @@ def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
     """The exact-mode domain: integers n, r >= 0 with n + r within the cap
     and a rational y = p/q > 0, returned as a Fraction, whose denominator
     p^C(n+r,2) (or numerator) is predicted to fit EXACT_BITS_CAP; with
-    ``table``, the values at all n' <= n, r' <= r together.  A decimal y is
-    priced by |log2 y| (require_exact_bits) before it is built."""
+    ``table``, the values at all n' <= n, r' <= r together.
+
+    Exact mode's one reader of y.  A decimal (a str without "/", or a
+    Decimal) is read from its sign, digits and exponent, and priced before
+    Decimal.as_integer_ratio builds it: its digits and exponent must fit
+    EXACT_BITS_CAP bits, its digits number at most EXACT_DIGITS_CAP, and
+    the weight times |log2 y|, a lower bound on the bits of p and q, must
+    fit EXACT_BITS_CAP.  Any other y goes through Fraction."""
     require_n(n)
     require_n(r, name="r")
     require_n(n + r, cap=EXACT_MODE_CAP, cap_code="exact-cap-exceeded", name="n+r")
     weight = (n + r) * (n + r - 1) // 2
     if table:  # the min(m, n) - max(0, m - r) + 1 values with n' + r' = m share C(m,2)
         weight = sum((min(m, n) - max(0, m - r) + 1) * m * (m - 1) // 2 for m in range(n + r + 1))
-    yq = require_y(require_exact_bits(y, weight=weight), exact=True)
+    decimal = isinstance(y, Decimal) or isinstance(y, str) and "/" not in y
+    try:
+        if decimal:
+            yd = Decimal(y)
+            sign, digits, exp = yd.as_tuple()
+            positive = not sign and isinstance(exp, int) and any(digits)
+        else:
+            yq = Fraction(y)
+            positive = yq > 0
+    except (TypeError, ValueError, ArithmeticError):
+        positive = False
+    if not positive:
+        raise DomainError("y-out-of-domain", f"y must be a rational > 0, got {brief(y)}")
+    if decimal:
+        # 10^a <= y < 10^(a+1), and 3.32 < log2(10) < 10/3 bits per digit
+        a = len(digits) + exp - 1
+        log2 = (a if a >= 0 else -a - 1) * 332 // 100
+        size = 10 * (len(digits) + abs(exp))
+        if max(size, 3 * weight * log2) > 3 * EXACT_BITS_CAP or len(digits) > EXACT_DIGITS_CAP:
+            raise DomainError(
+                "exact-bits-exceeded",
+                f"y has {len(digits)} digits and decimal exponent {exp}, above the cap of "
+                f"{EXACT_BITS_CAP} bits ({weight} x {log2} here) or {EXACT_DIGITS_CAP} digits",
+            )
+        yq = coprime_fraction(*yd.as_integer_ratio())
     y_bits = max(yq.numerator.bit_length(), yq.denominator.bit_length())
     bits = weight * y_bits
     if bits > EXACT_BITS_CAP:

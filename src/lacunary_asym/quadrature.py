@@ -54,7 +54,6 @@ from .numerics import (
     require_eps,
     require_n,
     require_resolved,
-    require_y,
     y_and_log,
 )
 from .solvers import solve_r
@@ -94,7 +93,6 @@ def _point(s, n: int, y, ctx: PrecisionContext, coefficients) -> mpc:
     """The integrand with coefficients(ym, L) at the one point s, evaluated
     by the quadrature's own row evaluator and rounded to ctx."""
     require_n(n)
-    require_y(y)
     require_resolved(s, "s-out-of-domain", "s", ctx.bits + _GUARD)
     with ctx.prec(_GUARD):
         ym, L = y_and_log(y)
@@ -340,7 +338,6 @@ def _integrate(n: int, y, ctx: PrecisionContext, target_eps, setup) -> Quadratur
     or an n or mass past the float range, is refused before any work.
     """
     require_n(n)
-    require_y(y)
     eps = as_real(DEFAULT_TARGET_EPS if target_eps is None else require_eps(target_eps))
     # the plan rests on math.log of the float; mp.log only below the float range
     log_eps = math.log(float(eps)) if float(eps) > 0 else float(mp.log(eps))

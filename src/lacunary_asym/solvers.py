@@ -46,7 +46,6 @@ from .numerics import (
     PrecisionContext,
     as_real,
     require_real,
-    require_y,
     y_and_log,
 )
 
@@ -201,7 +200,6 @@ def _rhs(n, y, ctx: PrecisionContext):
     """sqrt(y), log y and the common right side n sqrt(y) log y, at guard
     precision."""
     require_real(n, "n-out-of-domain", "n")
-    require_y(y)
     with ctx.prec(_SOLVER_GUARD):
         ym, log_y = y_and_log(y)
         sqrt_y = mp.sqrt(ym)

@@ -137,12 +137,10 @@ CASES = [
     pytest.param(
         lambda: eval_exact(300, 10**100), "exact-bits-exceeded", id="eval_exact(300, 10**100)"
     ),
-    pytest.param(
-        ["eval", "--y", "1e1000000000", "--n", "5"], EXIT_USAGE, id="cli eval --y 1e1000000000"
-    ),
+    # the CLI leaves the price of an exact y to the library: a domain error
     pytest.param(
         ["monotone", "--y", "1e1000000000", "--N", "3", "--R", "3"],
-        EXIT_USAGE,
+        EXIT_DOMAIN,
         id="cli monotone --y 1e1000000000",
     ),
     # inputs other than n, y and eps: raw ValueError / TypeError or nan
@@ -407,8 +405,9 @@ CASES = [
     ),
 ]
 
-# a decimal y that exact mode priced only after to_fraction had built
-# 10^2999999 (1.9 s each); its exponent now prices it first
+# a decimal y that exact mode priced only after it had built 10^2999999
+# (1.9 s each; 1.2-1.4 s for the sign of a negative one): its exponent now
+# prices it, and its sign refuses it, first
 PRICED_Y = [
     pytest.param(
         lambda: eval_exact(5, "1e2999999"),
@@ -424,6 +423,21 @@ PRICED_Y = [
         lambda: certify_absolute_monotonicity(3, 3, "1e2999999"),
         "exact-bits-exceeded",
         id="certify_absolute_monotonicity(3, 3, '1e2999999')",
+    ),
+    pytest.param(
+        lambda: eval_exact(5, "-1e2999999"),
+        "y-out-of-domain",
+        id="eval_exact(5, '-1e2999999')",
+    ),
+    pytest.param(
+        lambda: forward_difference(5, 1, "-1e2999999"),
+        "y-out-of-domain",
+        id="forward_difference(5, 1, '-1e2999999')",
+    ),
+    pytest.param(
+        lambda: certify_absolute_monotonicity(3, 3, "-1e2999999"),
+        "y-out-of-domain",
+        id="certify_absolute_monotonicity(3, 3, '-1e2999999')",
     ),
     pytest.param(
         ["quadcheck", "--y", "1e2999999", "--n", "5"],
@@ -548,6 +562,23 @@ def test_answered_where_theta_was_refused(case, args, bits, dual_theta, capsys):
 
 
 @pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("command", ["eval", "solve", "approx", "compare"])
+def test_cli_answers_what_the_library_answers(command, capsys):
+    # the CLI applied exact mode's size rule to every --y: exit 2 here,
+    # though eval_log answers in milliseconds
+    argv = [command, "--y", "1e1000000000", "--n", "5,1000", "--format", "csv"]
+    assert cli.main(argv) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    names = header.split(",")
+    for n, row in zip((5, 1000), rows):
+        cells = dict(zip(names, row.split(",")))
+        assert cells["n"] == str(n) and cells["y"] == "1.0e+1000000000"
+        if command == "eval":
+            want = eval_log(n, "1e1000000000")[0].log_magnitude
+            assert cells["log_f"] == cli._format_real(want, cli._sig_digits(128))
+
+
+@pytest.mark.usefixtures("time_limit")
 def test_long_decimal_y_is_rounded_not_parsed_whole():
     # mpf("1.000...01") with 5000 zeros raised a raw ValueError (4300-digit limit)
     near_one = "1." + "0" * 5000 + "1"
@@ -659,10 +690,11 @@ def test_boundary_decides_exactly_and_hands_values_back():
         with pytest.raises(DomainError) as exc:
             require_y(bad)
         assert exc.value.code == "y-out-of-domain"
-    # exact mode: any rational y > 0, as a Fraction; an mpf is not exact
-    assert require_y(1, exact=True) == 1 and require_y("1/2", exact=True) == Fraction(1, 2)
+    # exact mode: any rational y > 0, as a Fraction (f_2(1/y) = 3 + 1/y);
+    # an mpf is not exact
+    assert eval_exact(2, 1) == 4 and eval_exact(2, "1/2") == 3 + 1 / Fraction(1, 2)
     with pytest.raises(DomainError):
-        require_y(mpf(2), exact=True)
+        eval_exact(2, mpf(2))
     # integer n within [lo, cap]; the cap error carries the caller's code
     assert require_n(5, lo=1, cap=5, cap_code="quad-cap") == 5
     with pytest.raises(DomainError) as exc:
