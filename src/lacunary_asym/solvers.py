@@ -22,8 +22,9 @@ was above 2^-(wp/3) at working precision wp, or no step was taken because
 the seed already met the tolerance, one Newton step polishes the root and
 the smaller residual is kept.
 
-Roots are certified: every RootResult carries the achieved residual, and
-the advertised bound |residual| <= 4 eps * rhs holds on return.  Where no
+Roots are certified: every RootResult carries the residual g of the
+working-precision iterate, which t rounds to ctx.bits, and the advertised
+bound |residual| <= 4 eps * rhs holds on return for that iterate.  Where no
 t at the working precision meets it (t e^t = 2^(2^60)), the iteration
 ends once a Halley step cannot move t or a state recurs, with
 DomainError("root-unresolved"); MAX_ITER iterations without either end in
@@ -62,6 +63,10 @@ _FLOAT_HUGE = 1e308
 
 @dataclass(frozen=True)
 class RootResult:
+    """residual is g at the working-precision iterate (ctx.bits +
+    _SOLVER_GUARD bits), within 4 eps * rhs; t is that iterate rounded to
+    ctx.bits, which may miss by more (t e^t = 2^(2^45) at 53 bits)."""
+
     t: mpf
     residual: mpf
     iterations: int

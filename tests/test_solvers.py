@@ -505,3 +505,21 @@ class TestRootResultShape:
         res_hi = solve_r(17, 2, hi_ctx)
         with hi_ctx.prec():
             assert abs(res_lo.t - res_hi.t) <= 8 * ctx.eps * res_hi.t
+
+    def test_residual_is_that_of_the_working_iterate(self):
+        # t e^t = 2^(2^45) at 53 bits: the returned t misses x by ~7.6e-5 x,
+        # far past 4 eps x; the residual (-1.1e-11 x) is g at the 77-bit
+        # iterate, which t rounds to 53 bits
+        ctx = PrecisionContext(bits=53)
+        x = mpf(2) ** (2**45)
+        root = lambert_w(x, ctx)
+        with mp.workprec(256):
+            assert abs(root.residual) <= 4 * ctx.eps * x
+            assert abs(root.t * mp.exp(root.t) - x) > 4 * ctx.eps * x
+            # Newton on t e^t = x + residual from the returned t
+            t = root.t
+            for _ in range(6):
+                e = mp.exp(t)
+                t -= (t * e - x - root.residual) / ((1 + t) * e)
+            half_ulp = mp.ldexp(1, mp.frexp(root.t)[1] - ctx.bits - 1)
+            assert abs(root.t - t) <= half_ulp
