@@ -157,8 +157,8 @@ sNaN        y    y    y    y    y    y    y    y    y    y    y    y    y    y  
 
 # A CLI cell is the exit status: 0 answered, 2 usage, 3 domain; - where
 # no --y text stands for the value.  The CLI only parses --y and checks
-# y > 1; the rows 1e+1e9 and 1+1e-200001 were all 2 while it also applied
-# exact mode's size rule to every command.
+# y > 1; the library decides the rest, so exact mode's size rule reaches
+# only monotone and quadcheck (rows 1e+1e9 and 1+1e-200001).
 CLI_TABLE = """
 y           eval      solve     approx    compare   quadcheck monotone
 nan         2         2         2         2         2         2
