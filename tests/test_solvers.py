@@ -6,6 +6,7 @@ inputs with known closed-form roots, and round-trip identities.
 """
 
 import hashlib
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -523,3 +524,41 @@ class TestRootResultShape:
                 t -= (t * e - x - root.residual) / ((1 + t) * e)
             half_ulp = mp.ldexp(1, mp.frexp(root.t)[1] - ctx.bits - 1)
             assert abs(root.t - t) <= half_ulp
+
+
+def _sweep_pair():
+    """(n, y): y in SWEEP_YS with n log-uniform in [10, 1e15]."""
+    n = st.floats(1, 15).map(lambda e: round(10**e))
+    return st.tuples(n, st.sampled_from(SWEEP_YS))
+
+
+def _near_one_pair():
+    """(n, y): y = 1 + 10^-u, u in [2, 5], as a decimal string with a
+    three-digit mantissa, and n log-uniform in [1e3, 1e5]."""
+    n = st.floats(3, 5).map(lambda e: round(10**e))
+    y = st.floats(2, 5).map(
+        lambda u: str(1 + Decimal(round(1000 * 10 ** (int(u) - u))).scaleb(-(int(u) + 3)))
+    )
+    return st.tuples(n, y)
+
+
+class TestCorrectRounding:
+    """Each root is the root of a run at twice the bits, rounded to ctx.bits:
+    the returned t does not depend on the path the iteration took."""
+
+    @given(pair=st.one_of(_sweep_pair(), _near_one_pair()), bits=st.sampled_from([53, 128]))
+    @settings(derandomize=True, max_examples=300)
+    def test_roots_round_like_a_run_at_twice_the_bits(self, pair, bits):
+        n, y = pair
+        ctx, wide = PrecisionContext(bits), PrecisionContext(2 * bits)
+
+        def rounded(root):
+            with ctx.prec():
+                return (+root.t)._mpf_
+
+        assert lambert_w(n, ctx).t._mpf_ == rounded(lambert_w(n, wide))
+        assert solve_w(n, y, ctx).t._mpf_ == rounded(solve_w(n, y, wide))
+        assert solve_r(n, y, ctx).t._mpf_ == rounded(solve_r(n, y, wide))
+        w, r = sv._saddle_roots(n, y, ctx)
+        w2, r2 = sv._saddle_roots(n, y, wide)
+        assert (w.t._mpf_, r.t._mpf_) == (rounded(w2), rounded(r2))
