@@ -38,10 +38,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .numerics import (
     DEFAULT_CTX,
+    GUARD_BITS,
     ComputationError,
     DomainError,
     PrecisionContext,
@@ -87,54 +88,135 @@ def _float_newton(f: Callable[[float], Tuple[float, float]], t: float, unit: flo
     return t
 
 
-def _halley_bracketed(
-    g: Callable[[mpf], Tuple[mpf, mpf, mpf]],
-    lo: mpf,
-    hi: mpf,
-    t0: mpf,
-    scale: mpf,
-    ctx: PrecisionContext,
-) -> RootResult:
-    """Safeguarded Halley on an increasing g with root in [lo, hi]; g(t)
-    returns (g, g', g'').
+def _fixed(v, F: int) -> int:
+    """The raw mpf v as an int at scale 2^-F, rounded down."""
+    sign, man, exp, _ = v
+    shift = exp + F
+    man = man << shift if shift >= 0 else man >> -shift
+    return -man if sign else man
+
+
+def _aligned(terms, cap: int):
+    """(exponent, ints): the (man, exp) terms at one binary exponent, exact
+    unless that takes more than cap bits below the largest term.  A term
+    below that floor is rounded down to it: a gap between operands is never
+    shifted in."""
+    low = top = terms[0][1]
+    for m, e in terms:
+        if e < low:
+            low = e
+        if e + m.bit_length() > top:
+            top = e + m.bit_length()
+    if top - cap > low:
+        low = top - cap
+    ints = []
+    for m, e in terms:
+        ints.append(m << (e - low) if e >= low else m >> (low - e))
+    return low, ints
+
+
+def _equation(c, x, wp: int):
+    """The kernel's g for g(t) = t (e^t + c) - x, c >= 0 and x > 0 raw mpfs:
+    (T, F) -> (G, eg, D1, D2, ed) with g = G 2^eg, g' = D1 2^ed and g'' =
+    D2 2^ed at t = T 2^-F >= 0, around one exp at wp bits."""
+    _, cm, ce, _ = c
+    _, xm, xe, _ = x
+    cap = 3 * wp
+
+    def g(T, F):
+        # t as a normalized raw mpf (odd mantissa), as mpf_exp expects
+        z = (T & -T).bit_length() - 1
+        t = (0, T >> z, z - F, T.bit_length() - z) if T else libmp.fzero
+        _, m, E, _ = libmp.mpf_exp(t, wp, "n")
+        te = (T * m, E - F)
+        if cm:
+            eg, G = _aligned((te, (T * cm, ce - F), (-xm, xe)), cap)
+            ed, D = _aligned((te, (m, E), (cm, ce)), cap)
+        else:
+            eg, G = _aligned((te, (-xm, xe)), cap)
+            ed, D = _aligned((te, (m, E)), cap)
+        return sum(G), eg, sum(D), D[0] + 2 * D[1], ed
+
+    return g
+
+
+def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
+    """|a| 2^ea > b 2^eb for b >= 0; an int exceeds a real iff it exceeds
+    its floor."""
+    shift = eb - ea
+    return abs(a) > (b << shift if shift >= 0 else b >> -shift)
+
+
+def _div(num: int, den: int, k: int) -> int:
+    """num 2^k / den rounded to nearest, den > 0: one integer division."""
+    if k >= 0:
+        num <<= k
+    else:
+        den <<= -k
+    return (2 * num + den) // (2 * den)
+
+
+def _halley_bracketed(g, lo, hi, t0, scale, ctx: PrecisionContext) -> RootResult:
+    """Safeguarded Halley on an increasing g with root in [lo, hi], raw mpfs
+    as t0 and scale.
+
+    t and the bracket are ints T at one scale 2^-F, with F fixed from the
+    start point min(max(t0, lo), hi) (from hi where that is 0) so that T has
+    wp = ctx.bits + _SOLVER_GUARD bits there: the grid of a wp-bit float in
+    that binade.  g(T, F) returns (G, eg, D1, D2, ed): g = G 2^eg, g' = D1
+    2^ed, g'' = D2 2^ed, exact ints built around one exp of t at wp bits.
 
     Stops at |g(t)| <= 4 eps * scale.  Stopping exactly at tolerance leaves
     a root error of ~4 eps / g'(t), which downstream identities amplify, so
     unless the last step was a Halley step small enough that its cubed size
     is below working precision, one Newton step polishes t and whichever of
-    the two has the smaller residual is kept.
+    the two has the smaller residual is kept.  Returns t and g rounded to
+    ctx.bits.
     """
-    tol = RESID_TOL_FACTOR * ctx.eps * scale
-    cube_cut = mpf(2.0 ** (-mp.prec / 3))
-    t = min(max(t0, lo), hi)
-    gt, d1, d2 = g(t)
+    wp = ctx.bits + _SOLVER_GUARD
+    if libmp.mpf_cmp(t0, lo) < 0:
+        t0 = lo
+    if libmp.mpf_cmp(t0, hi) > 0:
+        t0 = hi
+    top = t0 if t0[1] else hi
+    F = max(wp - top[2] - top[3], 0)
+    t, lo, hi = _fixed(t0, F), _fixed(lo, F), _fixed(hi, F)
+    # 4 eps * scale = tol_m 2^tol_e
+    tol_m, tol_e = RESID_TOL_FACTOR * scale[1], scale[2] + GUARD_BITS - ctx.bits
+    gt, eg, d1, d2, ed = g(t, F)
     iterations = 0
     # the ends of the given bracket are not yet iterates: where the root
     # rounds to one of them, a step at or past it lands on it
     lo_open = hi_open = True
     settled = False
     seen = set()
-    while abs(gt) > tol:
+    while _exceeds(gt, eg, tol_m, tol_e):
         if iterations >= MAX_ITER:
+            residual = mp.make_mpf(libmp.from_man_exp(abs(gt), eg, 53, "n"))
             raise ComputationError(
                 "solver-diverged",
-                f"residual {mp.nstr(abs(gt), 8)} above tolerance after {MAX_ITER} iterations",
+                f"residual {mp.nstr(residual, 8)} above tolerance after {MAX_ITER} iterations",
             )
         iterations += 1
         if gt > 0:
             hi, hi_open = t, False
         else:
             lo, lo_open = t, False
-        den = 2 * d1 * d1 - gt * d2
-        cand = t - 2 * gt * d1 / den if den > 0 else t
+        # Halley: t - 2 g g' / (2 g'^2 - g g''), the smaller of the two
+        # denominator terms rounded to the larger's exponent
+        u = eg - ed
+        if u <= 0:
+            den, k = 2 * d1 * d1 - (gt * d2 >> -u), F + u
+        else:
+            den, k = (2 * d1 * d1 >> u) - gt * d2, F
+        cand = t - _div(2 * gt * d1, den, k) if den > 0 else t
         # a step too small to move t leaves t the representable point nearest
         # the root; a state met before repeats its steps: no t meets tol
         state = (t, lo, hi, lo_open, hi_open)
         if (den > 0 and cand == t) or state in seen:
             raise DomainError(
                 "root-unresolved",
-                f"no t at {mp.prec} bits meets the tolerance; "
-                f"stopped after {iterations} iterations",
+                f"no t at {wp} bits meets the tolerance; stopped after {iterations} iterations",
             )
         seen.add(state)
         halley = lo < cand < hi
@@ -144,85 +226,90 @@ def _halley_bracketed(
             elif cand <= lo and lo_open:
                 cand = lo
             else:
-                cand = (lo + hi) / 2
-        settled = halley and abs(cand - t) <= abs(cand) * cube_cut
+                cand = (lo + hi) >> 1
+        # a step of relative size at most 2^(-wp/3)
+        settled = halley and (abs(cand - t) ** 3 << wp) <= abs(cand) ** 3
         t = cand
-        gt, d1, d2 = g(t)
+        gt, eg, d1, d2, ed = g(t, F)
     if not settled:
-        polished = t - gt / d1
-        gp = g(polished)[0]
-        if abs(gp) < abs(gt):
-            t, gt = polished, gp
-    return RootResult(t, gt, iterations)
+        polished = t - _div(gt, d1, F + eg - ed)
+        gp, egp = g(polished, F)[:2]
+        if _exceeds(gt, eg, abs(gp), egp):
+            t, gt, eg = polished, gp, egp
+    return RootResult(
+        mp.make_mpf(libmp.from_man_exp(t, -F, ctx.bits, "n")),
+        mp.make_mpf(libmp.from_man_exp(gt, eg, ctx.bits, "n")),
+        iterations,
+    )
 
 
-def _lambert_seed(xm: mpf) -> Tuple[mpf, mpf, mpf]:
-    """Bracket (lo, hi) and float64 seed of the t >= 0 with t e^t = x."""
-    if xm <= mp.e:
+def _lambert_seed(x, wp: int):
+    """Bracket (lo, hi) and float64 seed of the t >= 0 with t e^t = x, as raw
+    mpfs at wp bits."""
+    # x < 2 or x >= 4 decides x <= e by the exponent alone
+    top = x[2] + x[3]
+    if top <= 1 or (top == 2 and libmp.mpf_cmp(x, libmp.mpf_e(wp, "n")) <= 0):
         # t <= x (e^t >= 1) and t <= 1 (t e^t increasing, value e at 1);
         # t e^t - x is convex, so Newton from t = min(x, 1) descends to the root
-        lo, hi = mpf(0), min(xm, mpf(1))
-        x = float(xm)
-        if x < _FLOAT_TINY:
-            return lo, hi, xm
+        lo, hi = libmp.fzero, x if libmp.mpf_cmp(x, libmp.fone) <= 0 else libmp.fone
+        xf = libmp.to_float(x, rnd="n")
+        if xf < _FLOAT_TINY:
+            return lo, hi, x
 
         def f(t):
             et = math.exp(t)
-            return t * et - x, (1 + t) * et
+            return t * et - xf, (1 + t) * et
 
-        return lo, hi, mpf(_float_newton(f, min(x, 1.0)))
+        return lo, hi, libmp.from_float(_float_newton(f, min(xf, 1.0)))
     # t >= 1 here, hence e^t <= x gives t <= log x
-    lnx = mp.log(xm)
-    lo, hi = mpf(1), lnx
-    L = float(lnx)
+    lnx = libmp.mpf_log(x, wp, "n")
+    L = libmp.to_float(lnx, rnd="n")
     # from 2^53 on a float t is off by an ulp of L, over 1, which Halley
     # climbs by about 2 per step; L - log L is within log L / L of the root
     if not L < 2.0**53:
-        return lo, hi, lnx - mp.log(lnx)
+        return libmp.fone, lnx, libmp.mpf_sub(lnx, libmp.mpf_log(lnx, wp, "n"), wp, "n")
     # t + log t - log x is concave; Newton ascends to the root from
     # L - log L, which lies below it
-    return lo, hi, mpf(_float_newton(lambda t: (t + math.log(t) - L, 1 + 1 / t), L - math.log(L)))
+    seed = _float_newton(lambda t: (t + math.log(t) - L, 1 + 1 / t), L - math.log(L))
+    return libmp.fone, lnx, libmp.from_float(seed)
 
 
 def lambert_w(x, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
     """Positive-branch Lambert W: the t >= 0 with t e^t = x, for x > 0."""
     require_real(x, "x-out-of-domain", "x")
     with ctx.prec(_SOLVER_GUARD):
-        xm = as_real(x)
-        lo, hi, t0 = _lambert_seed(xm)
-
-        def g(t):
-            e = mp.exp(t)
-            te = t * e
-            return te - xm, te + e, te + 2 * e
-
-        result = _halley_bracketed(g, lo, hi, t0, xm, ctx)
-    with ctx.prec():
-        return RootResult(+result.t, +result.residual, result.iterations)
+        xm = as_real(x)._mpf_
+    wp = ctx.bits + _SOLVER_GUARD
+    lo, hi, t0 = _lambert_seed(xm, wp)
+    return _halley_bracketed(_equation(libmp.fzero, xm, wp), lo, hi, t0, xm, ctx)
 
 
 def _rhs(n, y, ctx: PrecisionContext):
-    """sqrt(y), log y and the common right side n sqrt(y) log y, at guard
-    precision."""
+    """sqrt(y), log y and the common right side n sqrt(y) log y, raw mpfs at
+    guard precision."""
     require_real(n, "n-out-of-domain", "n")
+    wp = ctx.bits + _SOLVER_GUARD
     with ctx.prec(_SOLVER_GUARD):
         ym, log_y = y_and_log(y)
-        sqrt_y = mp.sqrt(ym)
-        return sqrt_y, log_y, as_real(n) * sqrt_y * log_y
+        nm = as_real(n)._mpf_
+    sqrt_y = libmp.mpf_sqrt(ym._mpf_, wp, "n")
+    log_y = log_y._mpf_
+    return sqrt_y, log_y, libmp.mpf_mul(libmp.mpf_mul(nm, sqrt_y, wp, "n"), log_y, wp, "n")
 
 
-def _r_seed(w: mpf, log_y: mpf, rhs: mpf) -> mpf:
-    """Float64 seed of r: the root of log t + log(e^t + sqrt(y)) = log rhs.
+def _r_seed(w, log_y, rhs, wp: int):
+    """Float64 seed of r: the root of log t + log(e^t + sqrt(y)) = log rhs,
+    as a raw mpf.
 
     In u = log t the left side, u + log(e^{e^u} + sqrt(y)), is convex and
     increasing, so Newton from u = log w >= log r descends to the root.
     log(e^t + sqrt(y)) is summed as max(t, h) + log1p(e^-|t - h|), h =
     log sqrt(y), which cannot overflow.  w where floats do not reach."""
-    r = float(rhs)
+    r = libmp.to_float(rhs, rnd="n")
     if r < _FLOAT_TINY:
         return w
-    lr = math.log(r) if r < _FLOAT_HUGE else float(mp.log(rhs))
-    h = float(log_y) / 2
+    lr = math.log(r) if r < _FLOAT_HUGE else libmp.to_float(libmp.mpf_log(rhs, wp, "n"), rnd="n")
+    h = libmp.to_float(log_y, rnd="n") / 2
     if not (lr < _FLOAT_HUGE and h < _FLOAT_HUGE):
         return w
 
@@ -233,7 +320,8 @@ def _r_seed(w: mpf, log_y: mpf, rhs: mpf) -> mpf:
         share = 1 / (1 + math.exp(-z)) if z >= 0 else 1 - 1 / (1 + math.exp(z))
         return u + max(t, h) + math.log1p(math.exp(-abs(z))) - lr, 1 + t * share
 
-    return mpf(math.exp(_float_newton(f, math.log(float(w)), unit=1.0)))
+    u = _float_newton(f, math.log(libmp.to_float(w, rnd="n")), unit=1.0)
+    return libmp.from_float(math.exp(u))
 
 
 def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:
@@ -242,25 +330,24 @@ def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:
     Dropping the sqrt(y) term raises the root, so w bounds r from above,
     and w starts r's float seed.  w is rounded to ctx.bits, and for large w
     half its ulp can exceed w - r: [0, w (1 + 2^(1 - bits))] brackets r.
+    So does [0, rhs / sqrt(y)], rounded up, since t e^t > 0: where it is
+    the tighter, r lies within a factor 2 of its end however far below w.
     """
     sqrt_y, log_y, rhs = _rhs(n, y, ctx)
-    w = lambert_w(rhs, ctx)
-    with ctx.prec(_SOLVER_GUARD):
-
-        def g(t):
-            e = mp.exp(t)
-            te = t * e
-            return t * (e + sqrt_y) - rhs, te + e + sqrt_y, te + 2 * e
-
-        hi = w.t * (1 + mp.ldexp(1, 1 - ctx.bits))
-        result = _halley_bracketed(g, mpf(0), hi, _r_seed(w.t, log_y, rhs), rhs, ctx)
-    with ctx.prec():
-        return w, RootResult(+result.t, +result.residual, result.iterations)
+    w = lambert_w(mp.make_mpf(rhs), ctx)
+    wp = ctx.bits + _SOLVER_GUARD
+    bits = ctx.bits
+    hi = libmp.mpf_mul(w.t._mpf_, (0, (1 << (bits - 1)) + 1, 1 - bits, bits), wp, "n")
+    below_w = libmp.mpf_div(rhs, sqrt_y, wp, "c")
+    if libmp.mpf_cmp(below_w, hi) < 0:
+        hi = below_w
+    seed = _r_seed(w.t._mpf_, log_y, rhs, wp)
+    return w, _halley_bracketed(_equation(sqrt_y, rhs, wp), libmp.fzero, hi, seed, rhs, ctx)
 
 
 def solve_w(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
     """Root w(n) of w e^w = n sqrt(y) log y."""
-    return lambert_w(_rhs(n, y, ctx)[2], ctx)
+    return lambert_w(mp.make_mpf(_rhs(n, y, ctx)[2]), ctx)
 
 
 def solve_r(n, y, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:

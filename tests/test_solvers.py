@@ -355,17 +355,73 @@ class TestBracketSafeguard:
         # midpoint 1; from 1 one exact step reaches the root 0
         points = []
 
-        def g(t):
-            points.append(t)
-            if abs(t) <= 1:
-                return t, mpf(1), mpf(0)
-            return mp.sign(t) * (1 + (abs(t) - 1) / 16), mpf(1) / 16, mpf(0)
+        def g(T, F):
+            # the kernel's g: (G, eg, D1, D2, ed) at t = T 2^-F
+            points.append(Fraction(T, 2**F))
+            if abs(T) <= 2**F:
+                return T, -F, 1, 0, 0
+            sign = 1 if T > 0 else -1
+            return sign * (15 * 2**F + abs(T)), -F - 4, 1, 0, -4
 
-        with ctx.prec(sv._SOLVER_GUARD):
-            res = sv._halley_bracketed(g, mpf(-8), mpf(4), mpf(4), mpf(1), ctx)
+        def raw(v):
+            return mpf(v)._mpf_
+
+        res = sv._halley_bracketed(g, raw(-8), raw(4), raw(4), raw(1), ctx)
         assert points[:5] == [4, -8, -2, 1, 0]
         assert res.t == 0 and res.iterations == 4
         assert abs(res.residual) <= sv.RESID_TOL_FACTOR * ctx.eps
+
+
+# Far-out arguments where a fixed-point t meets operands many binades apart:
+# each must give the same root (a digest of its _mpf_ tuples) or the same
+# code as the mpf iteration it replaced.
+HOSTILE_X = {
+    "2^(2^40)": mpf(2) ** (2**40),
+    "2^(2^60)": mpf(2) ** (2**60),
+    "1e1000000000": "1e1000000000",
+    "1e-100000": "1e-100000",
+    "1e-320": 1e-320,
+}
+HOSTILE_NY = {"(2, 1e2999999)": (2, "1e2999999"), "(10**400, 2)": (10**400, 2)}
+HOSTILE_ROOTS = {
+    ("2^(2^40)", 53): "cfd2e1376aeac71d",
+    ("2^(2^60)", 53): "root-unresolved",
+    ("1e1000000000", 53): "62d37ebc5b072337",
+    ("1e-100000", 53): "253451e3ab85ac61",
+    ("1e-320", 53): "4251f3be84ebc92a",
+    ("(2, 1e2999999)", 53): "99274872944dd7a0",
+    ("(10**400, 2)", 53): "88aa12bbcaeab8d5",
+    ("2^(2^40)", 128): "18ab144ff4d3dcfa",
+    ("2^(2^60)", 128): "root-unresolved",
+    ("1e1000000000", 128): "dbcf9cdd2528f1ad",
+    ("1e-100000", 128): "ea49de032279c91f",
+    ("1e-320", 128): "4251f3be84ebc92a",
+    ("(2, 1e2999999)", 128): "66283ff6425b0a1c",
+    ("(10**400, 2)", 128): "319969487bba4329",
+    ("2^(2^40)", 1024): "0e8b7fd88aae803c",
+    ("2^(2^60)", 1024): "root-unresolved",
+    ("1e1000000000", 1024): "954644c2c376d7b2",
+    ("1e-100000", 1024): "4769e1aa4604c0ee",
+    ("1e-320", 1024): "4251f3be84ebc92a",
+    ("(2, 1e2999999)", 1024): "5245be51e6d764b3",
+    ("(10**400, 2)", 1024): "34cb85df74747a22",
+}
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestHostileArguments:
+    @pytest.mark.parametrize("case, bits", sorted(HOSTILE_ROOTS))
+    def test_same_root_or_code(self, case, bits):
+        ctx = PrecisionContext(bits)
+        try:
+            if case in HOSTILE_X:
+                got = _pin_digest(lambert_w(HOSTILE_X[case], ctx).t._mpf_)
+            else:
+                roots = sv._saddle_roots(*HOSTILE_NY[case], ctx)
+                got = _pin_digest(tuple(res.t._mpf_ for res in roots))
+        except LacunaryError as exc:
+            got = exc.code
+        assert got == HOSTILE_ROOTS[(case, bits)]
 
 
 class TestPinnedRoots:
@@ -430,6 +486,33 @@ class TestIterationCounts:
             ym = mpf(y)
             rhs = n * mp.sqrt(ym) * mp.log(ym)
             assert abs(res.residual) <= 4 * ctx.eps * rhs * (1 + mpf("1e-10"))
+
+
+class TestKernelWork:
+    """One exp per iterate: the work of a _saddle_roots call on the sweep
+    grid, counted deterministically, and the w it shares with solve_w."""
+
+    @pytest.mark.parametrize("bits, exps", [(128, 4), (1024, 8)])
+    def test_exps_per_call(self, monkeypatch, bits, exps):
+        ctx = PrecisionContext(bits)
+        real = sv.libmp.mpf_exp
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sv.libmp, "mpf_exp", counting)
+        for y in SWEEP_YS:
+            for n in SWEEP_NS:
+                calls.clear()
+                sv._saddle_roots(n, y, ctx)
+                assert len(calls) == exps, (n, y)
+
+    def test_solve_w_is_the_w_of_saddle_roots(self, ctx):
+        for y in SWEEP_YS:
+            for n in SWEEP_NS:
+                assert solve_w(n, y, ctx).t == sv._saddle_roots(n, y, ctx)[0].t
 
 
 def _magnitude(lo_exp, hi_exp):
