@@ -9,24 +9,26 @@ function", 1996, section 5) from a float64 seed: the seed is the root of the
 equation in logarithmic form, t + log t = log x for w and log t +
 log(e^t + sqrt(y)) = log rhs for r, solved by Newton in floats.  Halley's
 step triples the correct bits, so from 53 seeded bits one step reaches 128-bit
-work; g, g' and g'' come from one exp.  Where floats do not resolve the
-seed (log x >= 2^53, or x < 1e-300, or rhs or log rhs past 1e308) it falls
-back to log x - log log x, x or w.
+work.  Where floats do not resolve the seed (log x >= 2^53, or x < 1e-300, or
+rhs or log rhs past 1e308) it falls back to log x - log log x, x or w.
 
+The iteration runs on Python ints.  t and its bracket are ints at one scale
+2^-F, fixed per solve so that t has wp = ctx.bits + 24 bits where it starts;
+each iterate costs one mpmath.libmp.mpf_exp at wp bits, around which g, g'
+and g'' are exact ints, and the Halley candidate takes one integer division.
 The iteration is bracketed: a step at or past an end of the given bracket
 lands on that end once (the root may round to it), any other step leaving
 the bracket is replaced by a bisection step, and the bracket shrinks
-monotonically, so it cannot fail.  A
-step of relative size d leaves an error of about d^3; when the last step
-was above 2^-(wp/3) at working precision wp, or no step was taken because
-the seed already met the tolerance, one Newton step polishes the root and
-the smaller residual is kept.
+monotonically, so it cannot fail.  A step of relative size d leaves an error
+of about d^3; when the last step was above 2^-(wp/3), or no step was taken
+because the seed already met the tolerance, one Newton step polishes the
+root and the smaller residual is kept.
 
 Roots are certified: every RootResult carries the residual g of the
 working-precision iterate, which t rounds to ctx.bits, and the advertised
 bound |residual| <= 4 eps * rhs holds on return for that iterate.  Where no
-t at the working precision meets it (t e^t = 2^(2^60)), the iteration
-ends once a Halley step cannot move t or a state recurs, with
+t on the working grid meets it (t e^t = 2^(2^60)), the iteration ends once a
+Halley step cannot move t or a state recurs, with
 DomainError("root-unresolved"); MAX_ITER iterations without either end in
 ComputationError("solver-diverged"), a bug.  Domain:
 finite reals n > 0 (not only integers), y > 1 and Lambert argument x > 0.
@@ -64,9 +66,10 @@ _FLOAT_HUGE = 1e308
 
 @dataclass(frozen=True)
 class RootResult:
-    """residual is g at the working-precision iterate (ctx.bits +
-    _SOLVER_GUARD bits), within 4 eps * rhs; t is that iterate rounded to
-    ctx.bits, which may miss by more (t e^t = 2^(2^45) at 53 bits)."""
+    """residual is g at the working iterate (ctx.bits + _SOLVER_GUARD bits),
+    exact and then rounded to ctx.bits, within 4 eps * rhs; t is that
+    iterate rounded to ctx.bits, which may miss by more (t e^t = 2^(2^45)
+    at 53 bits)."""
 
     t: mpf
     residual: mpf
@@ -91,24 +94,22 @@ def _float_newton(f: Callable[[float], Tuple[float, float]], t: float, unit: flo
 def _fixed(v, F: int) -> int:
     """The raw mpf v as an int at scale 2^-F, rounded down."""
     sign, man, exp, _ = v
-    shift = exp + F
-    man = man << shift if shift >= 0 else man >> -shift
+    man = man << (exp + F) if exp + F >= 0 else man >> -(exp + F)
     return -man if sign else man
 
 
-def _aligned(terms, cap: int):
+def _aligned(terms, span: int):
     """(exponent, ints): the (man, exp) terms at one binary exponent, exact
-    unless that takes more than cap bits below the largest term.  A term
-    below that floor is rounded down to it: a gap between operands is never
-    shifted in."""
+    unless that reaches more than span bits below the largest term; a term
+    below that floor is rounded down to it, never the gap shifted in."""
     low = top = terms[0][1]
     for m, e in terms:
         if e < low:
             low = e
         if e + m.bit_length() > top:
             top = e + m.bit_length()
-    if top - cap > low:
-        low = top - cap
+    if top - span > low:
+        low = top - span
     ints = []
     for m, e in terms:
         ints.append(m << (e - low) if e >= low else m >> (low - e))
@@ -116,12 +117,12 @@ def _aligned(terms, cap: int):
 
 
 def _equation(c, x, wp: int):
-    """The kernel's g for g(t) = t (e^t + c) - x, c >= 0 and x > 0 raw mpfs:
-    (T, F) -> (G, eg, D1, D2, ed) with g = G 2^eg, g' = D1 2^ed and g'' =
-    D2 2^ed at t = T 2^-F >= 0, around one exp at wp bits."""
+    """The kernel's g for g(t) = t (e^t + c) - x, raw mpfs c >= 0 and x > 0:
+    (T, F) -> (G, eg, D1, D2, ed), g = G 2^eg, g' = D1 2^ed and g'' = D2 2^ed
+    at t = T 2^-F >= 0, around one exp at wp bits."""
     _, cm, ce, _ = c
     _, xm, xe, _ = x
-    cap = 3 * wp
+    span = 3 * wp
 
     def g(T, F):
         # t as a normalized raw mpf (odd mantissa), as mpf_exp expects
@@ -129,58 +130,47 @@ def _equation(c, x, wp: int):
         t = (0, T >> z, z - F, T.bit_length() - z) if T else libmp.fzero
         _, m, E, _ = libmp.mpf_exp(t, wp, "n")
         te = (T * m, E - F)
-        if cm:
-            eg, G = _aligned((te, (T * cm, ce - F), (-xm, xe)), cap)
-            ed, D = _aligned((te, (m, E), (cm, ce)), cap)
-        else:
-            eg, G = _aligned((te, (-xm, xe)), cap)
-            ed, D = _aligned((te, (m, E)), cap)
+        eg, G = _aligned((te, (T * cm, ce - F), (-xm, xe)) if cm else (te, (-xm, xe)), span)
+        ed, D = _aligned((te, (m, E), (cm, ce)) if cm else (te, (m, E)), span)
         return sum(G), eg, sum(D), D[0] + 2 * D[1], ed
 
     return g
 
 
 def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
-    """|a| 2^ea > b 2^eb for b >= 0; an int exceeds a real iff it exceeds
-    its floor."""
+    """|a| 2^ea > b 2^eb, b >= 0: an int exceeds a real iff it exceeds its floor."""
     shift = eb - ea
     return abs(a) > (b << shift if shift >= 0 else b >> -shift)
 
 
 def _div(num: int, den: int, k: int) -> int:
     """num 2^k / den rounded to nearest, den > 0: one integer division."""
-    if k >= 0:
-        num <<= k
-    else:
-        den <<= -k
+    num, den = (num << k, den) if k >= 0 else (num, den << -k)
     return (2 * num + den) // (2 * den)
 
 
 def _halley_bracketed(g, lo, hi, t0, scale, ctx: PrecisionContext) -> RootResult:
-    """Safeguarded Halley on an increasing g with root in [lo, hi], raw mpfs
-    as t0 and scale.
+    """Safeguarded Halley on an increasing g with root in [lo, hi]; lo, hi,
+    t0 and scale are raw mpfs.
 
-    t and the bracket are ints T at one scale 2^-F, with F fixed from the
-    start point min(max(t0, lo), hi) (from hi where that is 0) so that T has
-    wp = ctx.bits + _SOLVER_GUARD bits there: the grid of a wp-bit float in
-    that binade.  g(T, F) returns (G, eg, D1, D2, ed): g = G 2^eg, g' = D1
-    2^ed, g'' = D2 2^ed, exact ints built around one exp of t at wp bits.
+    t and the bracket are ints T at one scale 2^-F, F fixed so that T has
+    wp = ctx.bits + _SOLVER_GUARD bits at t0 (at hi where t0 is 0 or in a
+    higher binade): the grid of a wp-bit float in that binade, on which t0
+    is clamped to [lo, hi].  g(T, F) returns exact ints (G, eg, D1, D2, ed)
+    for g, g' and g'' (see _equation).
 
     Stops at |g(t)| <= 4 eps * scale.  Stopping exactly at tolerance leaves
     a root error of ~4 eps / g'(t), which downstream identities amplify, so
     unless the last step was a Halley step small enough that its cubed size
     is below working precision, one Newton step polishes t and whichever of
-    the two has the smaller residual is kept.  Returns t and g rounded to
+    the two has the smaller residual is kept.  t and g return rounded to
     ctx.bits.
     """
     wp = ctx.bits + _SOLVER_GUARD
-    if libmp.mpf_cmp(t0, lo) < 0:
-        t0 = lo
-    if libmp.mpf_cmp(t0, hi) > 0:
-        t0 = hi
-    top = t0 if t0[1] else hi
+    top = t0 if t0[1] and t0[2] + t0[3] <= hi[2] + hi[3] else hi
     F = max(wp - top[2] - top[3], 0)
     t, lo, hi = _fixed(t0, F), _fixed(lo, F), _fixed(hi, F)
+    t = min(max(t, lo), hi)
     # 4 eps * scale = tol_m 2^tol_e
     tol_m, tol_e = RESID_TOL_FACTOR * scale[1], scale[2] + GUARD_BITS - ctx.bits
     gt, eg, d1, d2, ed = g(t, F)
@@ -236,11 +226,8 @@ def _halley_bracketed(g, lo, hi, t0, scale, ctx: PrecisionContext) -> RootResult
         gp, egp = g(polished, F)[:2]
         if _exceeds(gt, eg, abs(gp), egp):
             t, gt, eg = polished, gp, egp
-    return RootResult(
-        mp.make_mpf(libmp.from_man_exp(t, -F, ctx.bits, "n")),
-        mp.make_mpf(libmp.from_man_exp(gt, eg, ctx.bits, "n")),
-        iterations,
-    )
+    t = mp.make_mpf(libmp.from_man_exp(t, -F, ctx.bits, "n"))
+    return RootResult(t, mp.make_mpf(libmp.from_man_exp(gt, eg, ctx.bits, "n")), iterations)
 
 
 def _lambert_seed(x, wp: int):
@@ -336,8 +323,8 @@ def _saddle_roots(n, y, ctx: PrecisionContext) -> Tuple[RootResult, RootResult]:
     sqrt_y, log_y, rhs = _rhs(n, y, ctx)
     w = lambert_w(mp.make_mpf(rhs), ctx)
     wp = ctx.bits + _SOLVER_GUARD
-    bits = ctx.bits
-    hi = libmp.mpf_mul(w.t._mpf_, (0, (1 << (bits - 1)) + 1, 1 - bits, bits), wp, "n")
+    ulps = libmp.from_man_exp((1 << (ctx.bits - 1)) + 1, 1 - ctx.bits)  # 1 + 2^(1 - bits)
+    hi = libmp.mpf_mul(w.t._mpf_, ulps, wp, "n")
     below_w = libmp.mpf_div(rhs, sqrt_y, wp, "c")
     if libmp.mpf_cmp(below_w, hi) < 0:
         hi = below_w
