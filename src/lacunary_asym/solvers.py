@@ -192,8 +192,8 @@ def _halley_bracketed(g, lo, hi, t0, scale, ctx: PrecisionContext) -> RootResult
             hi, hi_open = t, False
         else:
             lo, lo_open = t, False
-        # Halley: t - 2 g g' / (2 g'^2 - g g''), the smaller of the two
-        # denominator terms rounded to the larger's exponent
+        # Halley: t - 2 g g' / (2 g'^2 - g g''); of the denominator's two
+        # terms the one at the finer exponent is rounded to the other's
         u = eg - ed
         if u <= 0:
             den, k = 2 * d1 * d1 - (gt * d2 >> -u), F + u
