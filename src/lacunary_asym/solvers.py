@@ -15,7 +15,8 @@ rhs or log rhs past 1e308) it falls back to log x - log log x, x or w.
 The iteration runs on Python ints.  t and its bracket are ints at one scale
 2^-F, fixed per solve so that t has wp = ctx.bits + 24 bits where it starts;
 each iterate costs one mpmath.libmp.mpf_exp at wp bits, around which g, g'
-and g'' are exact ints, and the Halley candidate takes one integer division.
+and g'' are exact ints (a term more than 3 wp bits below the largest of its
+sum is rounded), and the Halley candidate takes one integer division.
 The iteration is bracketed: a step at or past an end of the given bracket
 lands on that end once (the root may round to it), any other step leaving
 the bracket is replaced by a bisection step, and the bracket shrinks
@@ -122,7 +123,7 @@ def _equation(c, x, wp: int):
     at t = T 2^-F >= 0, around one exp at wp bits."""
     _, cm, ce, _ = c
     _, xm, xe, _ = x
-    span = 3 * wp
+    span = 3 * wp  # a product's 2 wp bits, and wp more for t down to 2^-wp
 
     def g(T, F):
         # t as a normalized raw mpf (odd mantissa), as mpf_exp expects

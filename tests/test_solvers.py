@@ -372,9 +372,9 @@ class TestBracketSafeguard:
         assert abs(res.residual) <= sv.RESID_TOL_FACTOR * ctx.eps
 
 
-# Far-out arguments where a fixed-point t meets operands many binades apart:
-# each must give the same root (a digest of its _mpf_ tuples) or the same
-# code as the mpf iteration it replaced.
+# Far-out arguments where a fixed-point t meets operands many binades apart,
+# pinned to the roots (digests of their _mpf_ tuples) or codes that an mpf
+# Halley iteration at the same working precision gives.
 HOSTILE_X = {
     "2^(2^40)": mpf(2) ** (2**40),
     "2^(2^60)": mpf(2) ** (2**60),
