@@ -7,6 +7,7 @@ frozen hand-computed rationals.
 """
 
 import functools
+import hashlib
 import math
 from fractions import Fraction
 
@@ -435,6 +436,26 @@ def test_walk_starts_at_the_peak(ctx):
 def test_rounding_bound_weighs_each_term_by_its_distance(ctx, n, y, truncate, log2_bound):
     _, rep = pe._term_walk(n, y, ctx, truncate)
     assert rep.rounding_bound < mpf(2) ** log2_bound
+
+
+# The walk's sum and every report field, bit for bit, over the WALK grid,
+# peak starts at y = 1 + 10^-u and the huge-n walk: one digest per bits.
+PINNED_WALKS = {53: "26546f1ea58656db", 128: "76f287547385a335", 400: "7026cede870d634b"}
+PIN_WALK_CASES = (
+    [(n, y, t) for y in WALK_YS for n, t in WALK_CASES]
+    + [(n, "1." + "0" * (u - 1) + "1", True) for n in (3162, 31623, 10**5) for u in range(1, 7)]
+    + [(10**900, 2, True)]
+)
+
+
+@pytest.mark.parametrize("bits", sorted(PINNED_WALKS))
+def test_walk_bits_are_pinned(bits):
+    walks = []
+    for n, y, truncate in PIN_WALK_CASES:
+        total, rep = pe._term_walk(n, y, PrecisionContext(bits=bits), truncate)
+        fields = (getattr(rep, f) for f in rep.__dataclass_fields__)
+        walks.append((total._mpf_, tuple(getattr(v, "_mpf_", v) for v in fields)))
+    assert hashlib.sha256(repr(walks).encode()).hexdigest()[:16] == PINNED_WALKS[bits]
 
 
 def reference_log_f(n: int, y: Fraction, bits: int = 256) -> mpf:
