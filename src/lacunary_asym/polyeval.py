@@ -6,8 +6,9 @@ at z = 1/y: exactly over the rationals, and in high-precision floating
 point by one linear term walk with adaptive truncation of the k-sum, whose
 log gives log f_n (mpf exponents are unbounded).  Where the terms climb
 long to their peak k* ~ log n / log y (y near 1), the walk starts at k*
-and walks out both ways, over the Gaussian window of width ~sqrt(1/log y)
-that holds the sum (de Bruijn, Asymptotic Methods in Analysis, Ch. 5).
+and walks out both ways by one step rule, over the Gaussian window of
+width ~sqrt(1/log y) that holds the sum (de Bruijn, Asymptotic Methods in
+Analysis, Ch. 5).
 It runs in fixed-point Python integers, 0.8-1.6 us per term on a 2-vCPU
 x86-64 box (CPython 3.11, pure-Python mpmath), and reports a rigorous
 bound on its own rounding error.  Also computes the iterated forward
@@ -294,10 +295,7 @@ def _term_walk(
     _LOOP_GUARD, walked from a start index ks: first left, then right.
 
     Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
-    decreases strictly in k.  Once it drops below 1 the tail is
-    geometrically dominated by t_k * rho/(1 - rho); with ``truncate`` the
-    right walk stops at the first k where that bound is within eps = 2^-tol
-    of the running total.  The sum comes back as a P-bit mpf, the report
+    decreases strictly in k.  The sum comes back as a P-bit mpf, the report
     rounded.  Walks predicted (_walk_terms from k = 0; n + 1 untruncated) to
     take more than WALK_TERMS_CAP terms, times 160/(bits + _LOOP_GUARD) above
     128 bits, are refused before the first.
@@ -305,23 +303,34 @@ def _term_walk(
     ks is the peak k* (_peak_index, the bisection the budget reads) if the
     walk is truncated, k* exceeds the predicted left walk, sqrt(2 (P +
     _LEFT_CUT) ln 2 / log y), by _START_TERMS, and y^(k*-1) < 2^(P-8), so
-    that the left shift stays positive; else 0, where t_0 = y^0 = 1.  The
-    left walk takes t_{k-1}/t_k = k y^(k-1) / (n-k+1), below 1 and falling,
-    and stops at the first k where t_k rho/(1 - rho) is within
-    2^-(P + _LEFT_CUT) of the total: first_kept_index.  The right walk
-    starts at ks on a total that holds the left sum, so terms_used,
-    first_omitted_index and omitted_tail_bound keep their meaning.
+    that the left shift stays positive; else 0, where t_0 = y^0 = 1 and the
+    left side is empty.
+
+    One step rule walks both sides.  Let a = k, Y = y^(k-1) on the left and
+    a = n - k, Y = y^-k on the right, and b = n + 1 - a: a step is
+    t <- t rho, rho = a Y / b (t_{k-1}/t_k on the left, t_{k+1}/t_k on the
+    right), after which a falls by one and Y takes one more factor 1/y.
+    From ks on, rho is below 1 and falling on the left, and falls on the
+    right, so a side's tail past t is geometrically dominated by
+    t rho/(1 - rho).  A side stops at the first term where that bound is
+    within 2^-cut of the running total: the left at cut = P + _LEFT_CUT
+    (first_kept_index; the dropped terms go into the rounding bound), the
+    right only with ``truncate``, at cut = tol (first_omitted_index).  The
+    right side starts at ks on a total that holds the left sum, so
+    terms_used, first_omitted_index and omitted_tail_bound keep their
+    meaning.
 
     term and total are Python ints times one shared 2^scale; total stays
     at least 2^(2P) (t_ks has 2P + 1 bits; once total passes 2^(3P), both
     shift right until it has 2P + 1 bits), so the last kept term still has
-    about bits + 80 bits.  A y power is a P-bit mantissa times 2^-sh, each
-    step multiplying it by that of the P-bit mpf 1/y, rounded to nearest.
-    The ratio is rho = num / ((k+1) 2^sh), num = (n-k) y^-k 2^sh, on the
-    right, rho = num / ((n-k+1) 2^sh), num = k y^(k-1) 2^sh, on the left;
-    rho < 1 and the stop tests are exact integer comparisons that only shift
-    right by sh.  A test can pass only if rho < 1/2 or term <= total 2^-tol,
-    which bit lengths decide cheaply first.
+    about bits + 80 bits.  Only the right side can rescale: the left terms
+    fall from t_ks, so the left total is at most (steps + 1) 2^(2P+1),
+    below 2^(3P) for any walk within the budget.  Y is a P-bit mantissa
+    times 2^-sh, each step multiplying it by that of the P-bit mpf 1/y,
+    rounded to nearest.  With num = a Y 2^sh, rho = num / (b 2^sh) < 1 and
+    the stop test is an exact integer comparison that only shifts right by
+    sh.  It can pass only if rho < 1/2 or term <= total 2^-cut, which bit
+    lengths decide cheaply first.
 
     The rounding bound, relative to the sum of the kept terms.  A y power m
     steps from ks drifts by at most (4m + e) 2^-P (1/y is at most three
@@ -365,70 +374,47 @@ def _term_walk(
             )
         yinv, ys = _mantissa(1 / ym, P)  # 1/y = yinv 2^-ys
     if ks:
-        start, s, ypm, sh, ypl, shl = _start_term(n, ks, y, P)
-    else:  # t_0 = y^0 = 1
-        start, s, ypm, sh = 1 << (2 * P), 2 * P, 1 << (P - 1), P - 1
-    scale, shifts = -s, 0  # value = int 2^scale
-    term = total = start  # the left walk's total holds t_ks until it ends
-    first = 0
-    light_l = light_r = None  # index of the first light term on each side
-    tol_left = P + _LEFT_CUT
-    for k in range(ks, 0, -1):  # empty for ks = 0
-        gap = total.bit_length() - term.bit_length()
-        if light_l is None and gap > _HEAVY_BITS:
-            light_l = k
-        num = k * ypl
-        tn = term * num
-        d = n - k + 1
-        # rho < 1, and rho < 1/2 or term below total 2^-tol_left (else the test
-        # below fails); then term rho/(1 - rho) <= total 2^-tol_left, as on the right
-        if (gap >= tol_left or num >> (shl - 1) < d) and num >> shl < d:
-            if -(-((tn << tol_left) + total * num) >> shl) <= total * d:
-                first = k
-                break
-        term = (tn >> shl) // d
-        total += term
-        prod = ypl * yinv
-        b = prod.bit_length() - P
-        ypl = ((prod >> (b - 1)) + 1) >> 1
-        shl += ys - b
-    term, total = start, total - start
-    top = 1 << (3 * P)
-    omitted = None
-    for k in range(ks, n):
-        total += term
-        gap = total.bit_length() - term.bit_length()
-        if light_r is None and gap > _HEAVY_BITS:
-            light_r = k
-        num = (n - k) * ypm
-        tn = term * num
-        # rho < 1, and rho < 1/2 or term below total 2^-tol: where rho >= 1/2
-        # the test below needs term <= total 2^-tol
-        if truncate and (gap >= tol or num >> (sh - 1) <= k) and num >> sh <= k:
-            # term rho/(1 - rho) <= total 2^-tol, i.e. (tn 2^tol + total num) 2^-sh
-            # <= total (k+1), with the ceiling of the left side: no shift left by sh
-            if -(-((tn << tol) + total * num) >> sh) <= total * (k + 1):
-                omitted = k + 1
-                break
-        term = (tn >> sh) // (k + 1)
-        if total >= top:  # back to 2P bits: a ratio near n may add far more than P
-            d = total.bit_length() - 2 * P
-            term >>= d
-            total >>= d
-            scale += d
-            shifts += 1
-        prod = ypm * yinv
-        b = prod.bit_length() - P
-        ypm = ((prod >> (b - 1)) + 1) >> 1
-        sh += ys - b
-    else:
-        total += term  # the k = n term
-    used = omitted or n + 1
-    N, m_end = used - first, max(ks - first, used - 1 - ks)
-    m_h = max(
-        ks - first if light_l is None else ks - light_l,
-        used - 1 - ks if light_r is None else light_r - ks,
-    )
+        start, s, ypm, shm, ypl, shl = _start_term(n, ks, y, P)
+    else:  # t_0 = y^0 = 1, and no left side
+        start, s, ypm, shm, ypl, shl = 1 << (2 * P), 2 * P, 1 << (P - 1), P - 1, 0, 0
+    scale, shifts, total, top = -s, 0, start, 1 << (3 * P)  # value = int 2^scale
+    sides = ((ks, ypl, shl, P + _LEFT_CUT, True), (n - ks, ypm, shm, tol, truncate))
+    reach, heavy = [], []  # per side: distance of the last kept term, of the first light one
+    for a0, yp, sh, cut, stops in sides:
+        term, light = start, None
+        for a in range(a0, 0, -1):
+            b = n + 1 - a
+            gap = total.bit_length() - term.bit_length()
+            if light is None and gap > _HEAVY_BITS:
+                light = a0 - a
+            num = a * yp
+            tn = term * num
+            # rho < 1, and rho < 1/2 or term below total 2^-cut: where rho >= 1/2
+            # the test below needs term <= total 2^-cut
+            if stops and (gap >= cut or num >> (sh - 1) < b) and num >> sh < b:
+                # term rho/(1 - rho) <= total 2^-cut, i.e. (tn 2^cut + total num) 2^-sh
+                # <= total b, with the ceiling of the left side: no shift left by sh
+                if -(-((tn << cut) + total * num) >> sh) <= total * b:
+                    break
+            term = (tn >> sh) // b
+            if total >= top:  # back to 2P bits: a ratio near n may add far more than P
+                d = total.bit_length() - 2 * P
+                term >>= d
+                total >>= d
+                scale += d
+                shifts += 1
+            total += term
+            prod = yp * yinv
+            d = prod.bit_length() - P
+            yp = ((prod >> (d - 1)) + 1) >> 1
+            sh += ys - d
+        else:
+            a = 0  # every term on this side kept
+        reach.append(a0 - a)
+        heavy.append(a0 - a if light is None else light)
+    first, used = ks - reach[0], ks + reach[1] + 1
+    omitted = used if a else None  # the right side stopped
+    N, m_end, m_h = used - first, max(reach), max(heavy)
     e = 1 if ks else 0
 
     def W(m):  # the drift of a term m steps from ks, in units of 2^-P
@@ -442,7 +428,7 @@ def _term_walk(
         total_m = mpf((total, scale))
         bound = mpf(0)
         if omitted:
-            ratio = mpf((num, -sh)) / (k + 1)
+            ratio = mpf((num, -sh)) / b
             bound = mpf((term, scale)) * ratio / (1 - ratio)
     with ctx.prec():
         rounding = mpf((units * ((1 << 16) + 1), -2 * P - 17))
