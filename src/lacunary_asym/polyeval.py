@@ -229,8 +229,9 @@ def eval_exact(n: int, y) -> ExactRational:
 def _peak_index(n: int, L: float) -> int:
     """The peak k* of t_k = C(n,k) e^{-L C(k,2)}, L > 0, by bisection in
     float arithmetic: the first k >= 1 with log(n-k) - log(k+1) <= L k, where
-    the term ratio is no longer above 1, so k* <= log(n+1)/L."""
-    lo, hi = 1, min(n, int(log(n + 1) / L) + 1)
+    the term ratio is no longer above 1, so k* <= log(n+1)/L.  A quotient
+    past n (inf for a subnormal L) is taken as n before int() reads it."""
+    lo, hi = 1, min(n, int(min(log(n + 1) / L, n)) + 1)
     while lo < hi:
         k = (lo + hi) // 2
         if log(n - k) - log(k + 1) > L * k:
@@ -254,7 +255,7 @@ def _walk_terms(n: int, L: float, tol_bits: int, peak: Optional[int] = None) -> 
         return n + 1
     if peak is None:
         peak = _peak_index(n, L)
-    return min(n + 1, peak + 1 + ceil(sqrt(2 * tol_bits * log(2) / L)))
+    return min(n + 1, peak + 1 + ceil(min(sqrt(2 * tol_bits * log(2) / L), n)))
 
 
 def _mantissa(x: mpf, bits: int) -> Tuple[int, int]:
@@ -362,7 +363,7 @@ def _term_walk(
         if truncate and Lf > 0:
             peak = _peak_index(n, Lf)
             terms = _walk_terms(n, Lf, tol, peak)
-            left = ceil(sqrt(2 * (P + _LEFT_CUT) * log(2) / Lf)) + 1
+            left = ceil(min(sqrt(2 * (P + _LEFT_CUT) * log(2) / Lf), n)) + 1
             if peak - left > _START_TERMS and (peak - 1) * Lf < (P - 8) * log(2):
                 ks = peak
         work_bits = max(ctx.bits, DEFAULT_CTX.bits) + _LOOP_GUARD

@@ -43,12 +43,12 @@ from lacunary_asym import (
 )
 
 N = 5
-CTX_53 = PrecisionContext(bits=53)
 DEFAULT = PrecisionContext()
 
 # (row key, y), the rows of both tables.  The float callables run at 128
-# bits, but at 53 bits for the last row, y = 1 + 1e-43: it rounds to 1 at
-# 53 bits plus the solvers' or the quadrature's guard bits.
+# bits, but at the bits after "@" for the last rows.  y = 1 + 1e-43 rounds
+# to 1 at 53 bits plus the solvers' or the quadrature's guard bits; at
+# y = 1 + 1e-310 and 1024 bits log y is below the smallest normal float.
 Y_ROWS = [
     ("nan", math.nan),
     ("+inf", math.inf),
@@ -76,6 +76,7 @@ Y_ROWS = [
     ("None", None),
     ("sNaN", Decimal("sNaN")),
     ("1+1e-43@53", "1." + "0" * 42 + "1"),
+    ("1+1e-310@1024", "1." + "0" * 309 + "1"),
 ]
 
 # the columns of LIBRARY_TABLE
@@ -153,6 +154,7 @@ mp.e        ok   ok   y    y    y    ok   ok   ok   ok   ok   ok   ok   ok   ok 
 None        y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y
 sNaN        y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y    y
 1+1e-43@53  ok   ok   ok   ok   ok   y    y    y    y    y    y    y    y    y    y    y    y    y    y
+1+1e-310@1024 ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   ok   quad quad quad
 """
 
 # A CLI cell is the exit status: 0 answered, 2 usage, 3 domain; - where
@@ -187,6 +189,7 @@ mp.e        -         -         -         -         -         -
 None        -         -         -         -         -         -
 sNaN        2         2         2         2         2         2
 1+1e-43@53  0         3         3         3         3         0
+1+1e-310@1024 0         0         0         0         3         0
 """
 
 
@@ -218,7 +221,7 @@ def observed(columns, cell, capsys):
     """{(row key, column): (cell, seconds)} for every y row and column."""
     cells = {}
     for key, y in Y_ROWS:
-        ctx = CTX_53 if key.endswith("@53") else DEFAULT
+        ctx = PrecisionContext(bits=int(key.split("@")[1])) if "@" in key else DEFAULT
         for name, case in columns.items():
             start = time.perf_counter()
             value = cell(case, y, ctx, capsys)
