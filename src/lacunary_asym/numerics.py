@@ -195,14 +195,19 @@ def require_y(y):
     return require_real(y, "y-out-of-domain", "y", above=1)
 
 
-def y_and_log(y):
-    """(y, log y) at the active precision; y-out-of-domain unless y > 1 and log y != 0."""
+def read_y(y):
+    """y at the active precision; y-out-of-domain unless y > 1 and it does not round to 1."""
     require_y(y)
     ym = as_real(y)
-    L = mp.log(ym)
-    if L == 0:
+    if ym == 1:
         raise DomainError("y-out-of-domain", f"y = {brief(y)} rounds to 1 at {mp.prec} bits")
-    return ym, L
+    return ym
+
+
+def y_and_log(y):
+    """(y, log y) at the active precision, y from read_y, so log y != 0."""
+    ym = read_y(y)
+    return ym, mp.log(ym)
 
 
 def require_n(

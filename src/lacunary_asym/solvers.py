@@ -50,8 +50,8 @@ from .numerics import (
     DomainError,
     PrecisionContext,
     as_real,
+    read_y,
     require_real,
-    y_and_log,
 )
 
 RESID_TOL_FACTOR = 4
@@ -274,14 +274,22 @@ def lambert_w(x, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
 
 def _rhs(n, y, ctx: PrecisionContext):
     """sqrt(y), log y and the common right side n sqrt(y) log y, raw mpfs at
-    guard precision."""
+    guard precision wp = ctx.bits + _SOLVER_GUARD.
+
+    y is read, and refused where it rounds to 1, at wp bits (read_y).  log y
+    is about y - 1, of which y rounded to wp bits keeps only about
+    wp + mag(y - 1) bits; so for y - 1 below 1/2 the one log is taken from y
+    read again at -mag(y - 1) more bits."""
     require_real(n, "n-out-of-domain", "n")
     wp = ctx.bits + _SOLVER_GUARD
     with ctx.prec(_SOLVER_GUARD):
-        ym, log_y = y_and_log(y)
-        nm = as_real(n)._mpf_
+        ym, nm = read_y(y), as_real(n)._mpf_
+        y_log, near = ym, -mp.mag(ym - 1)
+        if near > 0:
+            with mp.workprec(wp + near):
+                y_log = as_real(y)
     sqrt_y = libmp.mpf_sqrt(ym._mpf_, wp, "n")
-    log_y = log_y._mpf_
+    log_y = libmp.mpf_log(y_log._mpf_, wp, "n")
     return sqrt_y, log_y, libmp.mpf_mul(libmp.mpf_mul(nm, sqrt_y, wp, "n"), log_y, wp, "n")
 
 

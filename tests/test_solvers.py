@@ -631,6 +631,11 @@ class TestCorrectRounding:
 
     @given(pair=st.one_of(_sweep_pair(), _near_one_pair()), bits=st.sampled_from([53, 128]))
     @settings(derandomize=True, max_examples=300)
+    # r within 0.0008 ulps of a midpoint, rounded the wrong way while log y
+    # came from y rounded to bits + 24
+    @example(pair=(55005, "1.0000182"), bits=53)
+    @example(pair=(27408, "1.0000365"), bits=128)
+    @example(pair=(4106, "1.00001000"), bits=53)
     def test_roots_round_like_a_run_at_twice_the_bits(self, pair, bits):
         n, y = pair
         ctx, wide = PrecisionContext(bits), PrecisionContext(2 * bits)
