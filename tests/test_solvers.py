@@ -51,8 +51,8 @@ PINNED_LAMBERT = {
     1024: "0455f95c66294703",
 }
 PINNED_SADDLE = {
-    (53, "1.0000000001"): "2df86b927c228f5e",
-    (53, "1.000001"): "c0025617bb7ef176",
+    (53, "1.0000000001"): "3334d18e76394ce0",
+    (53, "1.000001"): "7fd089e1a77dc0fc",
     (53, "1.0001"): "27ebcdcd7020f6ec",
     (53, "3/2"): "40ca74ebacafe03b",
     (53, "2"): "bc9f131816ea3218",
@@ -60,7 +60,7 @@ PINNED_SADDLE = {
     (53, "1e10"): "915ba751aba9fa0a",
     (53, "1e280"): "d142c642e799bc49",
     (53, "1e2999999"): "be89e039c1449474",
-    (128, "1.0000000001"): "7d9349a75ba0a9ca",
+    (128, "1.0000000001"): "0b810ab741d44b87",
     (128, "1.000001"): "f2598d2110d5631c",
     (128, "1.0001"): "aa925339f7c182f8",
     (128, "3/2"): "29d9f1072bcebc6c",
@@ -69,7 +69,7 @@ PINNED_SADDLE = {
     (128, "1e10"): "fd7265fc78d29ea6",
     (128, "1e280"): "24a1aa32d71a19b9",
     (128, "1e2999999"): "7f228cc42e8b4800",
-    (400, "1.0000000001"): "6df9a48c63be1380",
+    (400, "1.0000000001"): "bd1a99c896e218d7",
     (400, "1.000001"): "0fb051b18e45f688",
     (400, "1.0001"): "3968702491ec7dd2",
     (400, "3/2"): "a9ae9f92204807a0",
@@ -78,7 +78,7 @@ PINNED_SADDLE = {
     (400, "1e10"): "4421736b52a12023",
     (400, "1e280"): "18f04274c1f4d05f",
     (400, "1e2999999"): "262e5a74dd3eff5b",
-    (1024, "1.0000000001"): "286f4bc3422a8b31",
+    (1024, "1.0000000001"): "5242641c813ca7d2",
     (1024, "1.000001"): "11bf90af023de103",
     (1024, "1.0001"): "131e8927f687d3ff",
     (1024, "3/2"): "079670d4d931c99e",
