@@ -16,7 +16,7 @@ bit-identical outputs.
 Every public entry point checks its real and integer inputs with the
 require_* functions below.  They decide exactly, on the input's own value,
 raise a coded DomainError and hand the value back unchanged: each layer
-still applies as_real at its own precision (y_and_log: y and log y).
+still applies as_real at its own precision (read_y: y; y_and_log: y, log y).
 Exact mode reads its rational y in polyeval._exact_args alone, and prices
 it against EXACT_BITS_CAP before any big integer is built.
 """
@@ -197,15 +197,14 @@ def require_y(y):
 
 def read_y(y):
     """y at the active precision; y-out-of-domain unless y > 1 and it does not round to 1."""
-    require_y(y)
-    ym = as_real(y)
+    ym = as_real(require_y(y))
     if ym == 1:
         raise DomainError("y-out-of-domain", f"y = {brief(y)} rounds to 1 at {mp.prec} bits")
     return ym
 
 
 def y_and_log(y):
-    """(y, log y) at the active precision, y from read_y, so log y != 0."""
+    """(y, log y) at the active precision, y from read_y, so that log y != 0."""
     ym = read_y(y)
     return ym, mp.log(ym)
 
