@@ -18,7 +18,8 @@ r(n) whose bounded oscillation is the Jacobi theta_3 factor
 
 theta_3(z, e^-a) is summed directly for a >= pi (for the factor above,
 log y <= 2 pi) and by Jacobi's imaginary transformation (Whittaker & Watson
-21.51) below, so that it takes a bounded number of terms at any a (_theta).
+21.51) below, so that it takes a bounded number of terms at any a (_theta);
+the factor's z-free part (_nome) is derived once per (y, precision).
 
 Everything here assumes x < 1, which holds exactly when n >= 2: at n = 1
 the root is r = (log y)/2 for every y > 1, giving x = 1 on the nose.
@@ -44,6 +45,7 @@ from .numerics import (
     require_real,
     require_resolved,
     y_and_log,
+    y_memo,
 )
 from .polyeval import eval_log
 from .solvers import _saddle_roots, solve_r
@@ -198,9 +200,27 @@ def saddle_data(
         return SaddleData(n=n, y=+ym, r=+r, x=x, a=+a, psi0=+psi0, b=b)
 
 
-def _theta(z: mpf, a: mpf, eps: mpf) -> Tuple[mpf, mpf, int]:
+def _nome(a: mpf, eps: mpf):
+    """_theta's z-free part at the working precision: for a >= pi the powers
+    q^{k^2}, k = 1 ... K, q = e^-a; below, (a, the stop ratio, sqrt(pi/a))."""
+    if a < mp.pi:
+        qd = mp.exp(-mp.pi**2 / a)
+        return None, (a, eps * (1 - qd) / (2 * qd), mp.sqrt(mp.pi / a))
+    q = mp.exp(-a)
+    K, tail = 0, 2 * q / (1 - q)  # bound for the sum from k = K+1 on
+    while tail > eps:
+        K += 1
+        tail = 2 * q ** ((K + 1) ** 2) / (1 - q)
+    powers, qp, qodd, q2 = [], mpf(1), q, q * q  # qp = q^{k^2}, qodd = q^{2k-1}
+    for _ in range(K):
+        qp, qodd = qp * qodd, qodd * q2
+        powers.append(qp)
+    return tuple(powers), None
+
+
+def _theta(z: mpf, nome) -> Tuple[mpf, mpf, int]:
     """theta_3(z, e^-a), theta_3 - 1 and the number K of terms summed, at the
-    working precision, truncated below eps relative.
+    working precision, truncated below eps relative; nome = _nome(a, eps).
 
     For a >= pi the direct series 1 + 2 sum_{k=1}^K q^{k^2} cos(2kz), q = e^-a,
     with K the least such that 2 q^{(K+1)^2}/(1-q) <= eps: q <= e^-pi gives
@@ -209,20 +229,13 @@ def _theta(z: mpf, a: mpf, eps: mpf) -> Tuple[mpf, mpf, int]:
     walked outward from k0 = nint(z/pi): past its first term each side falls
     by q' = e^{-pi^2/a} < e^-pi or faster, so it stops at a term t with
     2t q'/(1-q') <= eps * sum."""
-    if a >= mp.pi:
-        q = mp.exp(-a)
-        K, tail = 0, 2 * q / (1 - q)  # bound for the sum from k = K+1 on
-        while tail > eps:
-            K += 1
-            tail = 2 * q ** ((K + 1) ** 2) / (1 - q)
-        total, qp, qodd, q2 = mpf(0), mpf(1), q, q * q  # qp = q^{k^2}, qodd = q^{2k-1}
-        for k in range(1, K + 1):
-            qp *= qodd
-            qodd *= q2
+    powers, dual = nome
+    if dual is None:
+        total = mpf(0)
+        for k, qp in enumerate(powers, 1):
             total += qp * mp.cos(2 * k * z)
-        return 1 + 2 * total, 2 * total, K
-    qd = mp.exp(-mp.pi**2 / a)
-    stop = eps * (1 - qd) / (2 * qd)
+        return 1 + 2 * total, 2 * total, len(powers)
+    a, stop, scale = dual
     k0 = int(mp.nint(z / mp.pi))
     total, K = mp.exp(-((z - k0 * mp.pi) ** 2) / a), 1
     for step in (1, -1):
@@ -231,8 +244,15 @@ def _theta(z: mpf, a: mpf, eps: mpf) -> Tuple[mpf, mpf, int]:
             k += step
             t = mp.exp(-((z - k * mp.pi) ** 2) / a)
             total, K = total + t, K + 1
-    theta = mp.sqrt(mp.pi / a) * total
+    theta = scale * total
     return theta, theta - 1, K
+
+
+@y_memo
+def _y_nome(y, eps: mpf):
+    """y, log y and _nome(2 pi^2 / log y, eps) at the active precision."""
+    ym, L = y_and_log(y)
+    return ym, L, _nome(2 * mp.pi**2 / L, eps)
 
 
 def theta3(z, q, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
@@ -255,7 +275,7 @@ def theta3(z, q, ctx: PrecisionContext = DEFAULT_CTX) -> Theta3Result:
         zm = as_real(z)
         zm = abs(zm - mp.nint(zm / mp.pi) * mp.pi)
     with ctx.prec(extra):
-        theta, _, K = _theta(+zm, -mp.log(as_real(q)), ctx.eps)
+        theta, _, K = _theta(+zm, _nome(-mp.log(as_real(q)), ctx.eps))
     with ctx.prec():
         return Theta3Result(+theta, K)
 
@@ -292,11 +312,11 @@ def approximation_summary(
     """
     w_root, r_root = _saddle_roots(n, y, ctx)
     with ctx.prec(_GUARD):
-        ym, L = y_and_log(y)
+        ym, L, nome = _y_nome(y, ctx.eps)
         w, r = w_root.t, r_root.t
         log_bdm = _lambert_form(w, L)
         log_pref = _lambert_form(r, L)
-        theta, osc, _ = _theta(mp.pi * r / L, 2 * mp.pi**2 / L, ctx.eps)
+        theta, osc, _ = _theta(mp.pi * r / L, nome)
     with ctx.prec():
         return ApproxSummary(
             n=n,

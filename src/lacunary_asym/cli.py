@@ -93,7 +93,7 @@ class RunConfig:
     N: Optional[int] = None
     R: Optional[int] = None
 
-    @property
+    @functools.cached_property
     def ctx(self) -> PrecisionContext:
         return PrecisionContext(bits=self.bits)
 

@@ -16,13 +16,15 @@ bit-identical outputs.
 Every public entry point checks its real and integer inputs with the
 require_* functions below.  They decide exactly, on the input's own value,
 raise a coded DomainError and hand the value back unchanged: each layer
-still applies as_real at its own precision (read_y: y; y_and_log: y, log y).
+still applies as_real at its own precision (y_and_log: y, log y), and
+derives what depends on y and the precision alone once per pair (y_memo).
 Exact mode reads its rational y in polyeval._exact_args alone, and prices
 it against EXACT_BITS_CAP before any big integer is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,6 +59,9 @@ PRECISION_BITS_CAP = 1024
 # Bits of working precision that eps leaves to rounding: eps = 2^-(bits - GUARD_BITS).
 GUARD_BITS = 16
 
+# Most (y, precision) pairs a y_memo keeps (LRU): a command's few precisions, a sweep's few y.
+Y_MEMO_SIZE = 16
+
 Real = Union[int, float, str, Decimal, Fraction, mpf]
 
 
@@ -86,9 +91,9 @@ class PrecisionContext:
         code = "precision-out-of-domain"
         require_n(self.bits, lo=53, cap=PRECISION_BITS_CAP, cap_code=code, code=code, name="bits")
 
-    @property
+    @functools.cached_property
     def eps(self) -> mpf:
-        """Target relative tolerance 2^-(bits - GUARD_BITS)."""
+        """Target relative tolerance 2^-(bits - GUARD_BITS), exact."""
         return mp.ldexp(1, GUARD_BITS - self.bits)
 
     def prec(self, extra: int = 0):
@@ -195,17 +200,25 @@ def require_y(y):
     return require_real(y, "y-out-of-domain", "y", above=1)
 
 
-def read_y(y):
-    """y at the active precision; y-out-of-domain unless y > 1 and it does not round to 1."""
-    ym = as_real(require_y(y))
+Y_MEMOS = []  # every y_memo's lru_cache, for cache_info and cache_clear
+
+
+def y_memo(fn):
+    """fn(y, *args) at the active precision, memoized per (type(y), y, mp.prec,
+    *args) once require_y passes y (Decimal("sNaN") cannot be hashed); a raise
+    is not.  Types are never compared by value: Decimal("1e1200000") ==
+    Fraction(10**1200000) builds 10^1200000."""
+    cached = functools.lru_cache(Y_MEMO_SIZE)(lambda kind, y, prec, *args: fn(y, *args))
+    Y_MEMOS.append(cached)
+    return functools.wraps(fn)(lambda y, *args: cached(type(require_y(y)), y, mp.prec, *args))
+
+
+@y_memo
+def y_and_log(y):
+    """(y, log y) at the active precision, y-out-of-domain where y rounds to 1."""
+    ym = as_real(y)
     if ym == 1:
         raise DomainError("y-out-of-domain", f"y = {brief(y)} rounds to 1 at {mp.prec} bits")
-    return ym
-
-
-def y_and_log(y):
-    """(y, log y) at the active precision, y from read_y, so that log y != 0."""
-    ym = read_y(y)
     return ym, mp.log(ym)
 
 

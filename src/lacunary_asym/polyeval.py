@@ -10,9 +10,9 @@ and walks out both ways by one step rule, over the Gaussian window of
 width ~sqrt(1/log y) that holds the sum (de Bruijn, Asymptotic Methods in
 Analysis, Ch. 5).
 It runs in fixed-point Python integers, 0.8-1.6 us per term on a 2-vCPU
-x86-64 box (CPython 3.11, pure-Python mpmath), and reports a rigorous
-bound on its own rounding error.  Also computes the iterated forward
-differences in n,
+x86-64 box (CPython 3.11, pure-Python mpmath), from log y and 1/y read once
+per (y, precision) (_walk_y), and reports a rigorous bound on its own
+rounding error.  Also computes the iterated forward differences in n,
 
     D^r f_n(1/y) = sum_{k=0}^{n} C(n,k) * y^{-C(k+r,2)},
 
@@ -52,12 +52,15 @@ from .numerics import (
     brief,
     coprime_fraction,
     require_n,
-    require_y,
+    y_memo,
 )
 
 # Beyond this the exact denominators y^C(n,2) grow into the multi-megabit
 # range; float/log modes take over.
 EXACT_MODE_CAP = 3000
+
+# Most indices _exact_sum sums by one Horner loop instead of splitting them.
+_LEAF_BLOCK = 12
 
 # Extra bits for the fixed-point term walk behind both the float and the log
 # path, so the drift of the y powers (about 2 m^2 2^-P on a term m steps from
@@ -172,15 +175,17 @@ def _exact_sum(n: int, r: int, y) -> ExactRational:
 
     With y = p/q in lowest terms the sum is q^C(r,2) N / p^C(n+r,2),
     N = sum_k C(n,k) p^(C(n+r,2) - C(k+r,2)) q^(C(k+r,2) - C(r,2)).  N is
-    summed by binary splitting (Haible & Papanikolaou 1998) over pure powers:
-    the leaves are the C(n,k), built once by c_{k+1} = c_k (n-k) // (k+1),
-    and the range [a, b) carries
+    summed by binary splitting (Haible & Papanikolaou 1998) over pure powers
+    of the C(n,k), built once by c_{k+1} = c_k (n-k) // (k+1).  The range
+    [a, b) carries
     S(a,b) = sum_{k=a}^{b-1} C(n,k) p^(C(b-1+r,2) - C(k+r,2)) q^(C(k+r,2) - C(a+r,2)),
     merged at m as S(a,b) = S(a,m) p^sigma(m,b) + S(m,b) q^tau(a,m), with
     sigma(m,b) = sum_{k=m}^{b-1} (k-1+r) = (b-m)(m+b-3+2r)/2 and
-    tau(a,m) = sum_{k=a}^{m-1} (k+r) = (m-a)(a+m-1+2r)/2.  A node's powers
-    are products of its children's; the ones nothing reads (the p power on
-    the left spine, the q power on the right) are skipped.
+    tau(a,m) = sum_{k=a}^{m-1} (k+r) = (m-a)(a+m-1+2r)/2.  A range of at
+    most _LEAF_BLOCK indices is one Horner loop, S(a,k+1) = S(a,k) p^(k-1+r)
+    + C(n,k) q^tau(a,k), its powers p^sigma(a,b), q^tau(a,b) from the closed
+    forms; a node's are its children's products, and those nothing reads (p
+    on the left spine, q on the right) are skipped.
 
     Powers of two are shifts: p = 2^ep p', q = 2^eq q' with p', q' odd, the
     nodes carry only p'^sigma and q'^tau (a product by p' = 1 or q' = 1 is
@@ -201,8 +206,15 @@ def _exact_sum(n: int, r: int, y) -> ExactRational:
 
     def split(a: int, b: int, need_p: bool, need_q: bool):
         """(S(a,b), p'^sigma(a,b), q'^tau(a,b)), a power nothing reads False."""
-        if b - a == 1:
-            return leaves[a], need_p and po ** (a - 1 + r), need_q and qo ** (a + r)
+        if b - a <= _LEAF_BLOCK:
+            S, tau, pe, qe, qt = leaves[a], 0, po ** (a + r), qo ** (a + r), 1
+            for k in range(a + 1, b):  # pe = p'^e, qe = q'^e, qt = q'^tau(a,k)
+                e, tau, qt = k - 1 + r, tau + k - 1 + r, qt * qe
+                c = leaves[k] * qt if qo != 1 else leaves[k]
+                S = ((S * pe if po != 1 else S) << ep * e) + (c << eq * tau)
+                pe, qe = pe * po, qe * qo
+            sigma, tau = (b - a) * (a + b - 3 + 2 * r) // 2, (b - a) * (a + b - 1 + 2 * r) // 2
+            return S, need_p and po**sigma, need_q and qo**tau
         # halves of equal bit size: the powers up to j sum to ~(j + r)^2/2
         m = min(max(isqrt(((a + r) ** 2 + (b + r) ** 2) // 2) - r, a + 1), b - 1)
         S1, P1, Q1 = split(a, m, need_p, True)
@@ -289,6 +301,15 @@ def _start_term(n: int, ks: int, y, P: int) -> Tuple[int, int, int, int, int, in
         return (term, s, *_mantissa(mp.exp(-ks * L), P), *_mantissa(mp.exp((ks - 1) * L), P))
 
 
+@y_memo
+def _walk_y(y) -> Tuple[mpf, float, int, int]:
+    """log y, its float and 1/y as a P-bit mantissa yinv 2^-ys, P the active
+    precision: the walk's own reader, which takes a y that rounds to 1."""
+    ym = as_real(y)
+    L = mp.log(ym)
+    return (L, float(L), *_mantissa(1 / ym, mp.prec))
+
+
 def _term_walk(
     n: int, y, ctx: PrecisionContext, truncate: bool, n_min: int = 0
 ) -> Tuple[mpf, TruncationReport]:
@@ -353,13 +374,11 @@ def _term_walk(
     Second-order terms stay under the 2^-16 slack.
     """
     require_n(n, lo=n_min)
-    require_y(y)
     P = ctx.bits + _LOOP_GUARD
     tol = ctx.bits - GUARD_BITS
     with ctx.prec(_LOOP_GUARD):
-        ym = as_real(y)
-        L = mp.log(ym)
-        Lf, ks, terms = float(L), 0, n + 1
+        L, Lf, yinv, ys = _walk_y(y)  # 1/y = yinv 2^-ys
+        ks, terms = 0, n + 1
         if truncate and Lf > 0:
             peak = _peak_index(n, Lf)
             terms = _walk_terms(n, Lf, tol, peak)
@@ -373,7 +392,6 @@ def _term_walk(
                 f"n={brief(n)} at log y = {mp.nstr(L, 6)} needs ~{brief(terms)} terms "
                 f"at {ctx.bits} bits, above the cap {WALK_TERMS_CAP} at {DEFAULT_CTX.bits}",
             )
-        yinv, ys = _mantissa(1 / ym, P)  # 1/y = yinv 2^-ys
     if ks:
         start, s, ypm, shm, ypl, shl = _start_term(n, ks, y, P)
     else:  # t_0 = y^0 = 1, and no left side

@@ -31,7 +31,8 @@ bound |residual| <= 4 eps * rhs holds on return for that iterate.  Where no
 t on the working grid meets it (t e^t = 2^(2^60)), the iteration ends once a
 Halley step cannot move t or a state recurs, with
 DomainError("root-unresolved"); MAX_ITER iterations without either end in
-ComputationError("solver-diverged"), a bug.  Domain:
+ComputationError("solver-diverged"), a bug.  sqrt(y) and log y are derived
+once per (y, precision), the roots of every (n, y) anew.  Domain:
 finite reals n > 0 (not only integers), y > 1 and Lambert argument x > 0.
 """
 
@@ -50,8 +51,9 @@ from .numerics import (
     DomainError,
     PrecisionContext,
     as_real,
-    read_y,
     require_real,
+    y_and_log,
+    y_memo,
 )
 
 RESID_TOL_FACTOR = 4
@@ -272,24 +274,27 @@ def lambert_w(x, ctx: PrecisionContext = DEFAULT_CTX) -> RootResult:
     return _halley_bracketed(_equation(libmp.fzero, xm, wp), lo, hi, t0, xm, ctx)
 
 
-def _rhs(n, y, ctx: PrecisionContext):
-    """sqrt(y), log y and the common right side n sqrt(y) log y, raw mpfs at
-    guard precision wp = ctx.bits + _SOLVER_GUARD.
+@y_memo
+def _sqrt_and_log(y):
+    """sqrt(y) and log y, raw mpfs at the active precision wp, y from
+    y_and_log.  log y is about y - 1, of which y rounded to wp bits keeps
+    only about wp + mag(y - 1) bits; so for y - 1 below 1/2 the one log is
+    taken from y read again at -mag(y - 1) more bits."""
+    wp, ym = mp.prec, y_and_log(y)[0]
+    y_log, near = ym, -mp.mag(ym - 1)
+    if near > 0:
+        with mp.workprec(wp + near):
+            y_log = as_real(y)
+    return libmp.mpf_sqrt(ym._mpf_, wp, "n"), libmp.mpf_log(y_log._mpf_, wp, "n")
 
-    y is read, and refused where it rounds to 1, at wp bits (read_y).  log y
-    is about y - 1, of which y rounded to wp bits keeps only about
-    wp + mag(y - 1) bits; so for y - 1 below 1/2 the one log is taken from y
-    read again at -mag(y - 1) more bits."""
+
+def _rhs(n, y, ctx: PrecisionContext):
+    """sqrt(y), log y (_sqrt_and_log) and the common right side n sqrt(y)
+    log y, raw mpfs at guard precision wp = ctx.bits + _SOLVER_GUARD."""
     require_real(n, "n-out-of-domain", "n")
     wp = ctx.bits + _SOLVER_GUARD
     with ctx.prec(_SOLVER_GUARD):
-        ym, nm = read_y(y), as_real(n)._mpf_
-        y_log, near = ym, -mp.mag(ym - 1)
-        if near > 0:
-            with mp.workprec(wp + near):
-                y_log = as_real(y)
-    sqrt_y = libmp.mpf_sqrt(ym._mpf_, wp, "n")
-    log_y = libmp.mpf_log(y_log._mpf_, wp, "n")
+        (sqrt_y, log_y), nm = _sqrt_and_log(y), as_real(n)._mpf_
     return sqrt_y, log_y, libmp.mpf_mul(libmp.mpf_mul(nm, sqrt_y, wp, "n"), log_y, wp, "n")
 
 

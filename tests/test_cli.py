@@ -40,6 +40,10 @@ class TestParsing:
         assert parse_config(["eval", "--y", "4/3", "--n", "3"]).y == Fraction(4, 3)
         assert parse_config(["eval", "--y", "2.5", "--n", "3"]).y == Fraction(5, 2)
 
+    def test_ctx_is_built_once_per_config(self):
+        cfg = parse_config(["eval", "--y", "2", "--n", "3", "--bits", "200"])
+        assert cfg.ctx is cfg.ctx and cfg.ctx.bits == 200
+
     def test_y_must_exceed_1(self):
         for bad in ("1", "0.5", "-2", "7/8"):
             with pytest.raises(UsageError, match="y must exceed 1"):

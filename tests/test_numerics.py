@@ -20,6 +20,12 @@ class TestPrecisionContext:
         assert PrecisionContext(bits=128).eps == mpf(2) ** -112
         assert PrecisionContext(bits=53).eps == mpf(2) ** -37
 
+    def test_eps_is_built_once_and_exact(self):
+        ctx = PrecisionContext(bits=400)
+        with mp.workprec(53):
+            eps = ctx.eps
+        assert ctx.eps is eps and eps == mpf(2) ** -384
+
     def test_rejects_low_bits(self):
         with pytest.raises(ValueError):
             PrecisionContext(bits=52)

@@ -145,6 +145,16 @@ class TestEvalExact:
         got, want = pe._exact_sum(n, r, y), brute_diff(n, r, y)
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
+    # ranges of one leaf block less one, one block, and one block plus one
+    # index, which splits into two blocks; r > 0 shifts every power
+    @pytest.mark.parametrize("size", [pe._LEAF_BLOCK - 1, pe._LEAF_BLOCK, pe._LEAF_BLOCK + 1])
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("y", [Fraction(2), Fraction(3, 2), Fraction(12, 5), Fraction(5, 8)])
+    def test_leaf_blocks_match_naive_reference(self, size, r, y):
+        assert pe._LEAF_BLOCK == 12
+        got, want = pe._exact_sum(size - 1, r, y), brute_diff(size - 1, r, y)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
 
 class TestEvalFloat:
     def test_matches_exact_exhaustively(self, ctx):

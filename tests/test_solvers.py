@@ -509,6 +509,23 @@ class TestKernelWork:
                 sv._saddle_roots(n, y, ctx)
                 assert len(calls) == exps, (n, y)
 
+    def test_a_repeated_call_runs_the_kernel_again(self, monkeypatch):
+        # y's constants are memoized, the roots of an (n, y) are not
+        ctx = PrecisionContext(128)
+        real = sv.libmp.mpf_exp
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sv.libmp, "mpf_exp", counting)
+        for y in SWEEP_YS:
+            calls.clear()
+            sv._saddle_roots(10**6, y, ctx)
+            sv._saddle_roots(10**6, y, ctx)
+            assert len(calls) == 2 * 4, y
+
     def test_solve_w_is_the_w_of_saddle_roots(self, ctx):
         for y in SWEEP_YS:
             for n in SWEEP_NS:
