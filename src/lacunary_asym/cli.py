@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -35,18 +36,20 @@ from mpmath import mp, mpf
 from . import __version__
 from .asymptotics import approx_theorem, approximation_summary
 from .numerics import (
+    DEFAULT_CTX,
     PRECISION_BITS_CAP,
     LacunaryError,
     PrecisionContext,
     as_real,
     brief,
+    parse_real,
     require_n,
 )
 from .polyeval import certify_absolute_monotonicity, eval_exact, eval_log
 from .quadrature import DEFAULT_TARGET_EPS, integrate_original, integrate_shifted
 from .solvers import residual_relations
 
-DEFAULT_BITS = 128
+DEFAULT_BITS = DEFAULT_CTX.bits
 BITS_ENV_VAR = "LACUNARY_BITS"
 
 # quadcheck's n gate, sized for the default 128-bit precision
@@ -298,14 +301,9 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     args = _PARSER.parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        # --y is only parsed here: a Decimal compares with 1 without building
-        # 10^exponent (1.4 s for 1e2999999), and the library prices it
-        if "/" in args.y:
-            y = Fraction(args.y)
-        else:
-            y = Decimal(args.y)
-            if not y.is_finite():
-                raise ValueError("not finite")
+        # parse_real, the one reader of y: a Decimal compares with 1 without
+        # building 10^exponent (1.4 s for 1e2999999), and the library prices it
+        y = parse_real(args.y)
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(f"cannot parse rational number {brief(args.y)}") from exc
     if y <= 1:
@@ -436,14 +434,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # --out is rendered in memory (2.4 MB for monotone --y 3/2 --N 45 --R 45)
+    # and written only once the run answers: a refused run leaves the file as it was
+    stream = io.StringIO() if config.output_path else sys.stdout
     try:
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                return run(config, fh)
-        return run(config, sys.stdout)
+        status = run(config, stream)
     except LacunaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if config.output_path:
+        try:
+            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(stream.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return status
 
 
 def entrypoint() -> None:

@@ -18,8 +18,9 @@ require_* functions below.  They decide exactly, on the input's own value,
 raise a coded DomainError and hand the value back unchanged: each layer
 still applies as_real at its own precision (y_and_log: y, log y), and
 derives what depends on y and the precision alone once per pair (y_memo).
-Exact mode reads its rational y in polyeval._exact_args alone, and prices
-it against EXACT_BITS_CAP before any big integer is built.
+parse_real is the one reader of a real's text and type, for the checks,
+the CLI's --y and exact mode, which prices y in polyeval._exact_args
+before any big integer is built.
 """
 
 from __future__ import annotations
@@ -148,13 +149,14 @@ def brief(value) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... <{len(text)} chars>"
 
 
-def _exact(value):
+def parse_real(value):
     """A real input as a value that compares exactly with 0 and 1, or
     TypeError/ValueError/ArithmeticError.
 
-    A decimal (a string or a Decimal) becomes a Decimal and an mpf stays as
-    it is: the side of 0 and 1, all a real domain asks, is decided without
-    building 10^(10^9) or a million-digit int.
+    A rational, a float or a p/q string becomes a Fraction, a decimal (a
+    string or a Decimal) a finite Decimal, and an mpf stays as it is: the
+    side of 0 and 1, all a real domain asks, is decided without building
+    10^(10^9) or a million-digit int.
     """
     if isinstance(value, (numbers.Rational, float)) or (
         isinstance(value, str) and "/" in value
@@ -174,7 +176,7 @@ def _exact(value):
 def require_real(value, code: str, name: str, *, above: float = 0):
     """``value`` itself if it is a finite real above ``above``, else DomainError(code)."""
     try:
-        q = _exact(value)
+        q = parse_real(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(code, f"{name} must be a finite real, got {brief(value)}") from exc
     if not q > above:
@@ -190,13 +192,13 @@ def require_resolved(value, code: str, name: str, bits: int):
     radian: the result would keep no correct digit, while mpmath's argument
     reduction still spends time that grows with the exponent of the value."""
     require_real(value, code, name, above=-math.inf)
-    if not abs(_exact(value)) < 2**bits:
+    if not abs(parse_real(value)) < 2**bits:
         raise DomainError(code, f"|{name}| must be below 2^{bits}, got {brief(value)}")
     return value
 
 
 def require_y(y):
-    """y itself if it is a finite real > 1; exact mode reads y in polyeval._exact_args."""
+    """y itself if it is a finite real > 1; exact mode prices y in polyeval._exact_args."""
     return require_real(y, "y-out-of-domain", "y", above=1)
 
 

@@ -21,8 +21,9 @@ Pascal table in n, checked against telescoped exact evaluations.
 
 Domains (checked through the numerics boundary): integers n, r >= 0, not
 bools (eval_log: n >= 1); exact mode takes a rational y = p/q > 0, read
-and priced in _exact_args (a decimal before it is built), with
-n + r <= EXACT_MODE_CAP and C(n+r,2) * max(bits of p, q) <= EXACT_BITS_CAP,
+by numerics.parse_real and priced in _exact_args (a decimal before it is
+built), with n + r <= EXACT_MODE_CAP and C(n+r,2) * max(bits of p, q) <=
+EXACT_BITS_CAP,
 the float and log paths a finite real y > 1, the regime where the
 term-ratio truncation bound applies, and a walk predicted to fit
 WALK_TERMS_CAP terms, priced in terms x bits above 128 bits.
@@ -51,6 +52,7 @@ from .numerics import (
     as_real,
     brief,
     coprime_fraction,
+    parse_real,
     require_n,
     y_memo,
 )
@@ -123,32 +125,26 @@ def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
     p^C(n+r,2) (or numerator) is predicted to fit EXACT_BITS_CAP; with
     ``table``, the values at all n' <= n, r' <= r together.
 
-    Exact mode's one reader of y.  A decimal (a str without "/", or a
-    Decimal) is read from its sign, digits and exponent, and priced before
-    Decimal.as_integer_ratio builds it: its digits and exponent must fit
-    EXACT_BITS_CAP bits, its digits number at most EXACT_DIGITS_CAP, and
-    the weight times |log2 y|, a lower bound on the bits of p and q, must
-    fit EXACT_BITS_CAP.  Any other y goes through Fraction."""
+    Exact mode's pricing of y, read by parse_real: an mpf is refused, a
+    Fraction passes, and a Decimal is priced from its digits and exponent
+    before Decimal.as_integer_ratio builds it: they must fit EXACT_BITS_CAP
+    bits, its digits number at most EXACT_DIGITS_CAP, and the weight times
+    |log2 y|, a lower bound on the bits of p and q, must fit EXACT_BITS_CAP."""
     require_n(n)
     require_n(r, name="r")
     require_n(n + r, cap=EXACT_MODE_CAP, cap_code="exact-cap-exceeded", name="n+r")
     weight = (n + r) * (n + r - 1) // 2
     if table:  # the min(m, n) - max(0, m - r) + 1 values with n' + r' = m share C(m,2)
         weight = sum((min(m, n) - max(0, m - r) + 1) * m * (m - 1) // 2 for m in range(n + r + 1))
-    decimal = isinstance(y, Decimal) or isinstance(y, str) and "/" not in y
     try:
-        if decimal:
-            yd = Decimal(y)
-            sign, digits, exp = yd.as_tuple()
-            positive = not sign and isinstance(exp, int) and any(digits)
-        else:
-            yq = Fraction(y)
-            positive = yq > 0
+        yq = parse_real(y)
+        positive = isinstance(yq, (Decimal, Fraction)) and yq > 0
     except (TypeError, ValueError, ArithmeticError):
         positive = False
     if not positive:
         raise DomainError("y-out-of-domain", f"y must be a rational > 0, got {brief(y)}")
-    if decimal:
+    if isinstance(yq, Decimal):
+        _, digits, exp = yq.as_tuple()
         # 10^a <= y < 10^(a+1), and 3.32 < log2(10) < 10/3 bits per digit
         a = len(digits) + exp - 1
         log2 = (a if a >= 0 else -a - 1) * 332 // 100
@@ -159,7 +155,7 @@ def _exact_args(n: int, r: int, y, table: bool = False) -> Fraction:
                 f"y has {len(digits)} digits and decimal exponent {exp}, above the cap of "
                 f"{EXACT_BITS_CAP} bits ({weight} x {log2} here) or {EXACT_DIGITS_CAP} digits",
             )
-        yq = coprime_fraction(*yd.as_integer_ratio())
+        yq = coprime_fraction(*yq.as_integer_ratio())
     y_bits = max(yq.numerator.bit_length(), yq.denominator.bit_length())
     bits = weight * y_bits
     if bits > EXACT_BITS_CAP:
@@ -253,20 +249,15 @@ def _peak_index(n: int, L: float) -> int:
     return lo
 
 
-def _walk_terms(n: int, L: float, tol_bits: int, peak: Optional[int] = None) -> int:
-    """Terms a truncated walk from k = 0 over t_k = C(n,k) e^{-L C(k,2)} is
-    predicted to take, in float arithmetic: up to the peak k* (``peak``, or
-    _peak_index), then sqrt(2 tol_bits ln 2 / L) more, the distance past the
-    peak over which e^{-L j^2/2} falls to 2^-tol_bits.  At most n + 1, and
-    n + 1 when L is 0 (y rounded to 1).  On y in {1+1e-2 .. 1+1e-6, 3/2, 2,
-    100}, n in {10 .. 1e5} it is at least terms_used and at most 1.8 times it.
-    A walk from the peak evaluates fewer terms than this, so the budget prices
-    it high.
+def _walk_terms(n: int, L: float, tol_bits: int, peak: int) -> int:
+    """Terms a truncated walk from k = 0 over t_k = C(n,k) e^{-L C(k,2)},
+    L > 0, is predicted to take, in float arithmetic: up to the peak k*
+    (``peak``, _peak_index), then sqrt(2 tol_bits ln 2 / L) more, the distance
+    past the peak over which e^{-L j^2/2} falls to 2^-tol_bits.  At most
+    n + 1.  On y in {1+1e-2 .. 1+1e-6, 3/2, 2, 100}, n in {10 .. 1e5} it is
+    at least terms_used and at most 1.8 times it.  A walk from the peak
+    evaluates fewer terms than this, so the budget prices it high.
     """
-    if not L > 0:
-        return n + 1
-    if peak is None:
-        peak = _peak_index(n, L)
     return min(n + 1, peak + 1 + ceil(min(sqrt(2 * tol_bits * log(2) / L), n)))
 
 
@@ -318,9 +309,10 @@ def _term_walk(
 
     Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
     decreases strictly in k.  The sum comes back as a P-bit mpf, the report
-    rounded.  Walks predicted (_walk_terms from k = 0; n + 1 untruncated) to
-    take more than WALK_TERMS_CAP terms, times 160/(bits + _LOOP_GUARD) above
-    128 bits, are refused before the first.
+    rounded.  Walks predicted (_walk_terms from k = 0; n + 1 untruncated, or
+    where log y rounds to 0, y rounded to 1) to take more than WALK_TERMS_CAP
+    terms, times 160/(bits + _LOOP_GUARD) above 128 bits, are refused before
+    the first.
 
     ks is the peak k* (_peak_index, the bisection the budget reads) if the
     walk is truncated, k* exceeds the predicted left walk, sqrt(2 (P +

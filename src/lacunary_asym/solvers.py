@@ -94,13 +94,6 @@ def _float_newton(f: Callable[[float], Tuple[float, float]], t: float, unit: flo
     return t
 
 
-def _fixed(v, F: int) -> int:
-    """The raw mpf v as an int at scale 2^-F, rounded down."""
-    sign, man, exp, _ = v
-    man = man << (exp + F) if exp + F >= 0 else man >> -(exp + F)
-    return -man if sign else man
-
-
 def _aligned(terms, span: int):
     """(exponent, ints): the (man, exp) terms at one binary exponent, exact
     unless that reaches more than span bits below the largest term; a term
@@ -172,7 +165,7 @@ def _halley_bracketed(g, lo, hi, t0, scale, ctx: PrecisionContext) -> RootResult
     wp = ctx.bits + _SOLVER_GUARD
     top = t0 if t0[1] and t0[2] + t0[3] <= hi[2] + hi[3] else hi
     F = max(wp - top[2] - top[3], 0)
-    t, lo, hi = _fixed(t0, F), _fixed(lo, F), _fixed(hi, F)
+    t, lo, hi = libmp.to_fixed(t0, F), libmp.to_fixed(lo, F), libmp.to_fixed(hi, F)
     t = min(max(t, lo), hi)
     # 4 eps * scale = tol_m 2^tol_e
     tol_m, tol_e = RESID_TOL_FACTOR * scale[1], scale[2] + GUARD_BITS - ctx.bits

