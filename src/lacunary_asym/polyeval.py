@@ -309,10 +309,9 @@ def _term_walk(
 
     Terms are unimodal: the ratio t_{k+1}/t_k = ((n-k)/(k+1)) y^{-k}
     decreases strictly in k.  The sum comes back as a P-bit mpf, the report
-    rounded.  Walks predicted (_walk_terms from k = 0; n + 1 untruncated, or
-    where log y rounds to 0, y rounded to 1) to take more than WALK_TERMS_CAP
-    terms, times 160/(bits + _LOOP_GUARD) above 128 bits, are refused before
-    the first.
+    rounded.  Walks predicted (_walk_terms from k = 0; n + 1 untruncated or
+    where y rounds to 1) to take more than WALK_TERMS_CAP terms, times
+    160/(bits + _LOOP_GUARD) above 128 bits, are refused before the first.
 
     ks is the peak k* (_peak_index, the bisection the budget reads) if the
     walk is truncated, k* exceeds the predicted left walk, sqrt(2 (P +
